@@ -10,7 +10,7 @@ GO ?= go
 #   make bench-search BENCH_LABEL=portfolio
 BENCH_LABEL ?=
 
-.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke fuzz-smoke ci clean
+.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke fuzz-smoke perfbench-check ci clean
 
 all: ci
 
@@ -107,7 +107,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/
 
-ci: build vet lint test race bench-smoke fuzz-smoke
+# The end-to-end benchmark harness (perfbench/, run by `bash
+# perfbench/run.sh` as BENCHMARK.json declares) is its own Go module, so
+# `./...` above never compiles it: vet and test it separately, so an API
+# change that breaks the harness fails here instead of at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet lint test race bench-smoke fuzz-smoke perfbench-check
 
 clean:
 	$(GO) clean ./...

@@ -31,8 +31,8 @@ func Phases(e *schedule.Evaluator) [][][2]int {
 	}
 	maxLevel := 0
 	for _, i := range order {
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[j][i] > 0 && level[j]+1 > level[i] {
+		for _, j := range e.Prob.Preds(i) {
+			if level[j]+1 > level[i] {
 				level[i] = level[j] + 1
 			}
 		}
@@ -42,8 +42,9 @@ func Phases(e *schedule.Evaluator) [][][2]int {
 	}
 	phases := make([][][2]int, maxLevel+1)
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if e.CEdge[j][i] > 0 {
+		ws := e.Prob.SuccWeights(j)
+		for k, i := range e.Prob.Succs(j) {
+			if e.Clus.ClusteredWeight(j, i, ws[k]) > 0 {
 				phases[level[j]] = append(phases[level[j]], [2]int{j, i})
 			}
 		}
@@ -64,7 +65,9 @@ func CommCost(e *schedule.Evaluator, phases [][][2]int, a *schedule.Assignment) 
 		for _, edge := range phase {
 			j, i := edge[0], edge[1]
 			d := e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
-			if c := e.CEdge[j][i] * d; c > maxCost {
+			// Phases hold only inter-cluster edges, whose clustered
+			// weight is the problem edge weight.
+			if c := e.Prob.Edge[j][i] * d; c > maxCost {
 				maxCost = c
 			}
 		}

@@ -49,11 +49,11 @@ func (DominantSequence) Cluster(p *graph.Problem, k int) (*graph.Clustering, err
 	end := make([]int, n)
 
 	for _, i := range order {
-		preds := p.Preds(i)
+		preds, ws := p.Preds(i), p.PredWeights(i)
 		// Start time if i opens a fresh cluster: all messages paid.
 		freshStart := 0
-		for _, j := range preds {
-			if t := end[j] + p.Edge[j][i]; t > freshStart {
+		for k, j := range preds {
+			if t := end[j] + ws[k]; t > freshStart {
 				freshStart = t
 			}
 		}
@@ -69,10 +69,10 @@ func (DominantSequence) Cluster(p *graph.Problem, k int) (*graph.Clustering, err
 			}
 			tried[c] = true
 			ready := 0
-			for _, q := range preds {
+			for k, q := range preds {
 				t := end[q]
 				if clusterOf[q] != c {
-					t += p.Edge[q][i]
+					t += ws[k]
 				}
 				if t > ready {
 					ready = t

@@ -9,18 +9,22 @@
 //
 // Two propagation modes are provided:
 //
-//   - Paper (default): predecessors are found in the clustered edge matrix,
+//   - Paper (default): only clustered (inter-cluster) edges propagate,
 //     exactly as §4.2 Algorithm I states. An intra-cluster precedence edge
 //     (removed from the clustered graph) therefore stops the walk, even when
 //     it has zero slack.
-//   - Full: the walk also crosses tight intra-cluster edges (slack zero in
-//     the problem edge matrix). This finds inter-cluster edges that are
+//   - Full: the walk also crosses tight intra-cluster edges (a problem
+//     edge whose delivery, at zero communication cost, fixes its
+//     consumer's start). This finds inter-cluster edges that are
 //     critical by the paper's *definition* but missed by its *algorithm*
 //     when a zero-slack intra-cluster hop sits between them and the latest
 //     task. The ablation experiment E9 measures the difference.
 package critical
 
 import (
+	"cmp"
+	"slices"
+
 	"mimdmap/internal/graph"
 	"mimdmap/internal/ideal"
 )
@@ -53,10 +57,9 @@ func (p Propagation) String() string {
 type Analysis struct {
 	// Mode records the propagation mode used.
 	Mode Propagation
-	// ProbEdge is the critical problem edge matrix crit_edge:
-	// ProbEdge[j][i] is the clustered weight of critical edge j→i, 0 if the
-	// edge is not critical.
-	ProbEdge [][]int
+	// ProbEdges lists the critical problem edges crit_edge, sorted by
+	// source then target, each with its clustered weight.
+	ProbEdges []Edge
 	// AbsEdge is the critical abstract edge matrix c_abs_edge (symmetric,
 	// without the paper's extra degree column): AbsEdge[k][l] is the summed
 	// weight of critical problem edges between clusters k and l.
@@ -70,6 +73,11 @@ type Analysis struct {
 	OnCriticalPath []bool
 }
 
+// Edge is one critical problem edge From→To with its clustered weight.
+type Edge struct {
+	From, To, Weight int
+}
+
 // Analyze computes the critical problem edges, critical abstract edges and
 // critical degrees of ideal graph g (derived from problem p and clustering
 // c) under the given propagation mode.
@@ -77,14 +85,14 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 	n := p.NumTasks()
 	a := &Analysis{
 		Mode:           mode,
-		ProbEdge:       newMatrix(n),
 		AbsEdge:        newMatrix(c.K),
 		Degree:         make([]int, c.K),
 		OnCriticalPath: make([]bool, n),
 	}
 
 	// Backward walk from the latest tasks (§4.2 Algorithm I). The visited
-	// set doubles as the "already in LS" marker; each task is expanded once.
+	// set doubles as the "already in LS" marker; each task is expanded once,
+	// so each edge is examined — and recorded — at most once.
 	worklist := make([]int, 0, n)
 	for _, i := range g.LatestTasks {
 		if !a.OnCriticalPath[i] {
@@ -95,46 +103,36 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 	for len(worklist) > 0 {
 		i := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		for j := 0; j < n; j++ {
-			switch mode {
-			case Paper:
-				// Predecessors found in clus_edge; tight iff
-				// i_edge == clus_edge.
-				if g.CEdge[j][i] > 0 && g.Edge[j][i] == g.CEdge[j][i] {
-					a.ProbEdge[j][i] = g.CEdge[j][i]
-					if !a.OnCriticalPath[j] {
-						a.OnCriticalPath[j] = true
-						worklist = append(worklist, j)
-					}
-				}
-			case Full:
-				// Predecessors found in prob_edge; tight iff the start of
-				// i equals the delivery time from j. For inter-cluster
-				// edges this coincides with i_edge == clus_edge; for
-				// intra-cluster edges it is slack zero with comm 0.
-				if p.Edge[j][i] > 0 && g.Start[i] == g.End[j]+g.CEdge[j][i] {
-					if g.CEdge[j][i] > 0 {
-						a.ProbEdge[j][i] = g.CEdge[j][i]
-					}
-					if !a.OnCriticalPath[j] {
-						a.OnCriticalPath[j] = true
-						worklist = append(worklist, j)
-					}
-				}
+		ws := p.PredWeights(i)
+		for k, j := range p.Preds(i) {
+			// Paper: only clustered edges count, tight iff i_edge ==
+			// clus_edge. Full: any problem edge, tight iff the start of i
+			// equals the delivery time from j — for inter-cluster edges
+			// the same test, for intra-cluster edges slack zero with
+			// comm 0.
+			w := c.ClusteredWeight(j, i, ws[k])
+			if (mode == Paper && w == 0) || !g.Tight(j, i, ws[k]) {
+				continue
+			}
+			if w > 0 {
+				a.ProbEdges = append(a.ProbEdges, Edge{From: j, To: i, Weight: w})
+			}
+			if !a.OnCriticalPath[j] {
+				a.OnCriticalPath[j] = true
+				worklist = append(worklist, j)
 			}
 		}
 	}
+	slices.SortFunc(a.ProbEdges, func(x, y Edge) int {
+		return cmpEdge(x, y.From, y.To)
+	})
 
 	// Fold critical problem edges into critical abstract edges
 	// (§4.2 Algorithm II) and row-sum the critical degrees (Algorithm III).
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if w := a.ProbEdge[j][i]; w > 0 {
-				k, l := c.Of[j], c.Of[i]
-				a.AbsEdge[k][l] += w
-				a.AbsEdge[l][k] += w
-			}
-		}
+	for _, e := range a.ProbEdges {
+		k, l := c.Of[e.From], c.Of[e.To]
+		a.AbsEdge[k][l] += e.Weight
+		a.AbsEdge[l][k] += e.Weight
 	}
 	for k := 0; k < c.K; k++ {
 		for l := 0; l < c.K; l++ {
@@ -142,6 +140,25 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 		}
 	}
 	return a
+}
+
+// ProbWeight returns crit_edge[j][i]: the clustered weight of j→i if it is
+// a critical problem edge, 0 otherwise.
+func (a *Analysis) ProbWeight(j, i int) int {
+	if x, ok := slices.BinarySearchFunc(a.ProbEdges, [2]int{j, i}, func(e Edge, t [2]int) int {
+		return cmpEdge(e, t[0], t[1])
+	}); ok {
+		return a.ProbEdges[x].Weight
+	}
+	return 0
+}
+
+// cmpEdge orders e against the edge from→to by source, then target.
+func cmpEdge(e Edge, from, to int) int {
+	if e.From != from {
+		return cmp.Compare(e.From, from)
+	}
+	return cmp.Compare(e.To, to)
 }
 
 // HasCriticalEdges reports whether any critical problem edge exists. A
@@ -170,17 +187,7 @@ func (a *Analysis) CriticalClusters() []int {
 }
 
 // NumCriticalProbEdges returns the count of critical problem edges.
-func (a *Analysis) NumCriticalProbEdges() int {
-	n := 0
-	for j := range a.ProbEdge {
-		for i := range a.ProbEdge[j] {
-			if a.ProbEdge[j][i] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (a *Analysis) NumCriticalProbEdges() int { return len(a.ProbEdges) }
 
 // NumCriticalAbsEdges returns the count of (undirected) critical abstract
 // edges.
@@ -223,11 +230,11 @@ func LongestCriticalChain(p *graph.Problem, g *ideal.Graph) []int {
 	}
 	chain := []int{g.LatestTasks[0]}
 	cur := g.LatestTasks[0]
-	n := p.NumTasks()
 	for {
 		next := -1
-		for j := 0; j < n; j++ {
-			if p.Edge[j][cur] > 0 && g.Start[cur] == g.End[j]+g.CEdge[j][cur] {
+		ws := p.PredWeights(cur)
+		for k, j := range p.Preds(cur) {
+			if g.Tight(j, cur, ws[k]) {
 				next = j
 				break
 			}

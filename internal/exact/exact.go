@@ -112,8 +112,9 @@ func intensityOrder(e *schedule.Evaluator) []int {
 	weight := make([]int, k)
 	n := e.Prob.NumTasks()
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if w := e.CEdge[j][i]; w > 0 {
+		ws := e.Prob.SuccWeights(j)
+		for k, i := range e.Prob.Succs(j) {
+			if w := e.Clus.ClusteredWeight(j, i, ws[k]); w > 0 {
 				weight[e.Clus.Of[j]] += w
 				weight[e.Clus.Of[i]] += w
 			}
@@ -182,18 +183,15 @@ func (s *solver) dfs(depth int) {
 // every communication weight).
 func (s *solver) partialTotalTime() int {
 	e := s.e
-	n := e.Prob.NumTasks()
 	end := s.end
 	total := 0
 	for _, i := range s.topo {
 		start := 0
 		ci := e.Clus.Of[i]
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[j][i] == 0 {
-				continue
-			}
+		ws := e.Prob.PredWeights(i)
+		for k, j := range e.Prob.Preds(i) {
 			t := end[j]
-			if w := e.CEdge[j][i]; w > 0 {
+			if w := e.Clus.ClusteredWeight(j, i, ws[k]); w > 0 {
 				d := 1
 				pj, pi := s.procOf[e.Clus.Of[j]], s.procOf[ci]
 				if pj >= 0 && pi >= 0 {

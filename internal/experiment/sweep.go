@@ -23,8 +23,8 @@ type SweepRow struct {
 	AtBound              int
 }
 
-// DefaultSweep is the grid EXPERIMENTS.md documents: from light to heavy
-// communication relative to computation.
+// DefaultSweep is the calibration grid `mapbench -sweep` runs: from light
+// to heavy communication relative to computation, at the default density.
 func DefaultSweep() []SweepPoint {
 	return []SweepPoint{
 		{TaskSizeMax: 20, EdgeWeightMax: 5, EdgeFactor: 3},  // default
@@ -36,7 +36,7 @@ func DefaultSweep() []SweepPoint {
 
 // Sweep reruns the Table 2 workload for every configuration, reporting the
 // ranges of ours/random percentages and improvements — the quantitative
-// background for the calibration discussion in EXPERIMENTS.md. The points
+// background for the default weights chosen in Config. The points
 // run sequentially while each Table2 call inside fans its experiments out
 // across cfg.Workers, so the configured cap bounds the total concurrency
 // (nesting both levels would run up to Workers² experiments at once).
@@ -99,6 +99,6 @@ func SweepReport(cfg Config) (string, error) {
 	b.WriteString("=== Calibration sweep (Table 2 workload under varying communication weight) ===\n")
 	b.WriteString(textplot.Table(headers, cells))
 	b.WriteString("light communication pins ours to the bound; heavy communication widens the\n")
-	b.WriteString("improvement but pushes every method above it (see EXPERIMENTS.md)\n")
+	b.WriteString("improvement but pushes every method above it\n")
 	return b.String(), nil
 }

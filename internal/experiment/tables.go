@@ -35,7 +35,7 @@ type Config struct {
 	// forward task pair is EdgeFactor/np, giving ≈ EdgeFactor·np/2 edges.
 	// 0 means 3 (≈1.5 edges per task). The paper does not publish its
 	// generator's density; this default reproduces the paper's result
-	// shape (see EXPERIMENTS.md).
+	// shape (DefaultSweep varies the weights around it).
 	EdgeFactor float64
 	// TaskSizeMax and EdgeWeightMax bound the uniform weights [1,max].
 	// Zeros mean 20 and 5: computation-heavy programs, as needed to

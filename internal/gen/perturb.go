@@ -124,6 +124,9 @@ func Perturb(inst Instance, spec PerturbSpec, seed int64) (Instance, error) {
 }
 
 func perturbProblem(p *graph.Problem, sp *PerturbSpec, rng *rand.Rand) *graph.Problem {
+	// q and out are fresh problems nothing has queried yet, so writing
+	// their Edge cells directly respects the graph freeze-point contract;
+	// out freezes at Perturb's Validate.
 	q := p.Clone()
 	// Resize and reweight draw on the original shape so the decision
 	// stream never depends on the shrink/grow bookkeeping below.

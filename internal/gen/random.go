@@ -71,18 +71,22 @@ func Random(cfg RandomConfig, rng *rand.Rand) (*graph.Problem, error) {
 	}
 	// Random topological order: pos[i] is the rank of task i. Edges only go
 	// from lower to higher rank, so the graph is acyclic by construction.
+	// hasPred is tracked here rather than asked of p: a structural query
+	// would freeze p, and every SetEdge after it would force a rebuild.
 	perm := rng.Perm(n) // perm[rank] = task
+	hasPred := make([]bool, n)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			if rng.Float64() < cfg.EdgeProb {
 				p.SetEdge(perm[a], perm[b], uniform(rng, cfg.MinEdgeWeight, cfg.MaxEdgeWeight))
+				hasPred[perm[b]] = true
 			}
 		}
 	}
 	if cfg.Connected {
 		for b := 1; b < n; b++ {
 			task := perm[b]
-			if p.InDegree(task) == 0 {
+			if !hasPred[task] {
 				p.SetEdge(perm[rng.Intn(b)], task, uniform(rng, cfg.MinEdgeWeight, cfg.MaxEdgeWeight))
 			}
 		}
@@ -129,24 +133,33 @@ func Layered(cfg LayeredConfig, rng *rand.Rand) (*graph.Problem, error) {
 	}
 	id := func(layer, slot int) int { return layer*cfg.Width + slot }
 	w := func() int { return uniform(rng, cfg.MinEdgeWeight, cfg.MaxEdgeWeight) }
+	// hasPred is tracked locally, as in Random, so p stays unfrozen.
+	hasPred := make([]bool, n)
+	link := func(src, dst int) {
+		wt := w()
+		p.SetEdge(src, dst, wt)
+		if wt > 0 {
+			hasPred[dst] = true
+		}
+	}
 	for layer := 0; layer+1 < cfg.Layers; layer++ {
 		for a := 0; a < cfg.Width; a++ {
 			src := id(layer, a)
 			linked := false
 			for b := 0; b < cfg.Width; b++ {
 				if rng.Float64() < cfg.EdgeProb {
-					p.SetEdge(src, id(layer+1, b), w())
+					link(src, id(layer+1, b))
 					linked = true
 				}
 			}
 			if !linked {
-				p.SetEdge(src, id(layer+1, rng.Intn(cfg.Width)), w())
+				link(src, id(layer+1, rng.Intn(cfg.Width)))
 			}
 		}
 		for b := 0; b < cfg.Width; b++ {
 			dst := id(layer+1, b)
-			if p.InDegree(dst) == 0 {
-				p.SetEdge(id(layer, rng.Intn(cfg.Width)), dst, w())
+			if !hasPred[dst] {
+				link(id(layer, rng.Intn(cfg.Width)), dst)
 			}
 		}
 	}

@@ -112,26 +112,16 @@ func (c *Clustering) Canonical() *Clustering {
 	return d
 }
 
-// ClusteredEdges returns the clustered problem edge matrix clus_edge: the
-// problem edge matrix with every intra-cluster edge removed (weight 0).
-// Precedence constraints between same-cluster tasks still exist — they are
-// recovered from the problem edge matrix during evaluation — but their
-// communication cost is zero, since the tasks share a processor.
-func ClusteredEdges(p *Problem, c *Clustering) [][]int {
-	n := p.NumTasks()
-	ce := make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range ce {
-		ce[i], cells = cells[:n:n], cells[n:]
+// ClusteredWeight returns the clustered problem edge weight clus_edge[j][i]
+// of a problem edge j→i with weight w: w when j and i lie in different
+// clusters, 0 when they share one. Precedence constraints between
+// same-cluster tasks still exist — evaluation walks every problem edge —
+// but their communication is free, since the tasks share a processor.
+func (c *Clustering) ClusteredWeight(j, i, w int) int {
+	if c.Of[j] == c.Of[i] {
+		return 0
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if p.Edge[i][j] > 0 && c.Of[i] != c.Of[j] {
-				ce[i][j] = p.Edge[i][j]
-			}
-		}
-	}
-	return ce
+	return w
 }
 
 // Abstract is the abstract graph Ga: each cluster collapsed to a single
@@ -154,9 +144,10 @@ func BuildAbstract(p *Problem, c *Clustering) *Abstract {
 	for i := range a.Weight {
 		a.Weight[i], cells = cells[:c.K:c.K], cells[c.K:]
 	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if w := p.Edge[i][j]; w > 0 && c.Of[i] != c.Of[j] {
+	for i := 0; i < p.NumTasks(); i++ {
+		ws := p.SuccWeights(i)
+		for k, j := range p.Succs(i) {
+			if w := c.ClusteredWeight(i, j, ws[k]); w > 0 {
 				a.Weight[c.Of[i]][c.Of[j]] += w
 				a.Weight[c.Of[j]][c.Of[i]] += w
 			}

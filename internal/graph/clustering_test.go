@@ -83,12 +83,11 @@ func TestClusteredEdgesRemovesIntraCluster(t *testing.T) {
 	p.SetEdge(2, 3, 2) // intra (both cluster 1)
 	c := NewClustering(4, 2)
 	c.Of = []int{0, 0, 1, 1}
-	ce := ClusteredEdges(p, c)
-	if ce[0][1] != 0 || ce[2][3] != 0 {
+	if c.ClusteredWeight(0, 1, 5) != 0 || c.ClusteredWeight(2, 3, 2) != 0 {
 		t.Fatal("intra-cluster edges not removed")
 	}
-	if ce[1][2] != 3 {
-		t.Fatalf("inter-cluster edge = %d, want 3", ce[1][2])
+	if w := c.ClusteredWeight(1, 2, 3); w != 3 {
+		t.Fatalf("inter-cluster edge = %d, want 3", w)
 	}
 }
 
@@ -198,17 +197,15 @@ func TestClusteredEdgesPropertySubsetOfProblem(t *testing.T) {
 		for i := range c.Of {
 			c.Of[i] = rng.Intn(k)
 		}
-		ce := ClusteredEdges(p, c)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				switch {
-				case ce[i][j] != 0 && ce[i][j] != p.Edge[i][j]:
-					return false // weight must be preserved
-				case ce[i][j] != 0 && c.Of[i] == c.Of[j]:
-					return false // intra-cluster must be dropped
-				case p.Edge[i][j] > 0 && c.Of[i] != c.Of[j] && ce[i][j] == 0:
-					return false // inter-cluster must be kept
-				}
+		for _, e := range p.EdgeList() {
+			i, j, w := e[0], e[1], e[2]
+			switch ce := c.ClusteredWeight(i, j, w); {
+			case ce != 0 && ce != w:
+				return false // weight must be preserved
+			case ce != 0 && c.Of[i] == c.Of[j]:
+				return false // intra-cluster must be dropped
+			case c.Of[i] != c.Of[j] && ce == 0:
+				return false // inter-cluster must be kept
 			}
 		}
 		return true

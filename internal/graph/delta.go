@@ -72,26 +72,18 @@ func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 			d.TasksResized++
 		}
 	}
-	oldEdges, newEdges := 0, 0
+	// Walk each side's edge lists and probe the other side's matrix cell.
+	oldEdges, newEdges := oldP.NumEdges(), newP.NumEdges()
 	for i := 0; i < oldNP; i++ {
-		for j := 0; j < oldNP; j++ {
-			ow := oldP.Edge[i][j]
-			if ow <= 0 {
-				continue
-			}
-			oldEdges++
+		for _, j := range oldP.Succs(i) {
 			if i >= common || j >= common || newP.Edge[i][j] <= 0 {
 				d.EdgesRemoved++
 			}
 		}
 	}
 	for i := 0; i < newNP; i++ {
-		for j := 0; j < newNP; j++ {
-			nw := newP.Edge[i][j]
-			if nw <= 0 {
-				continue
-			}
-			newEdges++
+		ws := newP.SuccWeights(i)
+		for k, j := range newP.Succs(i) {
 			if i >= common || j >= common {
 				d.EdgesAdded++
 				continue
@@ -99,7 +91,7 @@ func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 			switch ow := oldP.Edge[i][j]; {
 			case ow <= 0:
 				d.EdgesAdded++
-			case ow != nw:
+			case ow != ws[k]:
 				d.EdgesReweighted++
 			}
 		}

@@ -25,11 +25,29 @@ import (
 // Fingerprints memoize: the first call hashes the structure, repeats return
 // the stored digest (the serving hot path fingerprints the same graphs on
 // every request — rehashing an np×np edge matrix per cache hit dominated
-// the warm path before memoization). The memo makes first-Fingerprint a
-// freeze point: graphs must not be structurally mutated after it. That was
-// already the de facto contract — the service layer shares graph pointers
-// between cached responses and their callers — and construction (builders,
-// parsers, generators) happens strictly before any fingerprint use.
+// the warm path before memoization).
+//
+// Freeze-point contract. A Problem carries two memos: its fingerprint and
+// its sparse view (successor/predecessor lists, topological order and
+// validation verdict; see sparse.go). The first structural query —
+// Validate, TopoOrder, Preds/Succs/degrees, NumEdges, EdgeList,
+// Fingerprint, or any analysis (ideal.Derive, critical.Analyze,
+// schedule.NewEvaluator, core.New) handed the problem — is the freeze
+// point. After it:
+//
+//   - SetEdge is the only supported mutation: it writes the cell and drops
+//     both memos, so the next query rebuilds them (one O(n²) pass).
+//     Interleaving SetEdge with structural queries therefore costs a full
+//     rebuild per query; builders track what they need themselves.
+//   - Writing Edge or Size directly is not seen by the memos and is a
+//     contract violation. Builders, parsers and generators write cells
+//     directly only on a problem nothing has queried yet.
+//   - System and Clustering have no mutation hooks: they must not change
+//     at all after their first Fingerprint.
+//
+// This was already the de facto contract — the service layer shares graph
+// pointers between cached responses and their callers — and construction
+// happens strictly before any fingerprint or analysis use.
 
 // Fingerprint is a 256-bit content address of a graph structure.
 type Fingerprint [32]byte
@@ -54,6 +72,9 @@ func (m *fpMemo) memo(f func() Fingerprint) Fingerprint {
 	m.p.Store(&fp)
 	return fp
 }
+
+// reset drops the cached fingerprint.
+func (m *fpMemo) reset() { m.p.Store(nil) }
 
 // String renders the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
@@ -140,24 +161,17 @@ func (p *Problem) Fingerprint() Fingerprint {
 }
 
 func (p *Problem) fingerprint() Fingerprint {
+	// The successor CSR lists the positive cells of Edge in row-major
+	// order, which is exactly the order the encoding has always used.
+	s := p.frozen()
 	h := NewHasher("mimdmap/problem/v1")
 	h.Ints(p.Size)
-	edges := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				edges++
-			}
-		}
-	}
-	h.Int(edges)
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if w := p.Edge[i][j]; w > 0 {
-				h.Int(i)
-				h.Int(j)
-				h.Int(w)
-			}
+	h.Int(len(s.succ))
+	for i := 0; i+1 < len(s.succOff); i++ {
+		for k := s.succOff[i]; k < s.succOff[i+1]; k++ {
+			h.Int(i)
+			h.Int(s.succ[k])
+			h.Int(s.succW[k])
 		}
 	}
 	return h.Sum()

@@ -10,7 +10,8 @@ import (
 // The text-format fuzzers pin the parser's core invariant: any input the
 // parser accepts round-trips — parse → format → parse yields an equal,
 // valid graph — and no input, however mangled, makes it panic or accept an
-// invalid graph. The seed corpus is the golden fixtures the unit tests use
+// invalid graph; for problems, the sparse view the parser froze matches the
+// parsed matrix. The seed corpus is the golden fixtures the unit tests use
 // (the paper's running example and generated DAGs), their text forms, and
 // the documented edge cases of the format.
 
@@ -47,6 +48,9 @@ func FuzzParseProblem(f *testing.F) {
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("parser accepted an invalid problem: %v\ninput: %q", verr, in)
 		}
+		// The view frozen by the parser's Validate must agree with the
+		// matrix it was built from: preds, succs, degrees and order.
+		checkSparseView(t, p)
 		var buf bytes.Buffer
 		if werr := WriteProblem(&buf, p); werr != nil {
 			t.Fatalf("cannot format an accepted problem: %v", werr)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -50,12 +49,8 @@ func WriteProblem(w io.Writer, p *Problem) error {
 	for i, s := range p.Size {
 		fmt.Fprintf(bw, "task %d %d\n", i, s)
 	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				fmt.Fprintf(bw, "edge %d %d %d\n", i, j, p.Edge[i][j])
-			}
-		}
+	for _, e := range p.EdgeList() {
+		fmt.Fprintf(bw, "edge %d %d %d\n", e[0], e[1], e[2])
 	}
 	return bw.Flush()
 }
@@ -137,7 +132,7 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 			if src < 0 || src >= p.NumTasks() || dst < 0 || dst >= p.NumTasks() {
 				return fmt.Errorf("edge %d→%d out of range", src, dst)
 			}
-			p.Edge[src][dst] = w
+			p.Edge[src][dst] = w // p is unfrozen until the Validate below
 		default:
 			return fmt.Errorf("unknown directive %q", fields[0])
 		}
@@ -291,19 +286,12 @@ func atoiField(fields []string, idx int, what string) (int, error) {
 // source then destination — a convenience for deterministic iteration and
 // for rendering.
 func (p *Problem) EdgeList() [][3]int {
-	var es [][3]int
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				es = append(es, [3]int{i, j, p.Edge[i][j]})
-			}
+	s := p.frozen()
+	es := make([][3]int, 0, len(s.succ))
+	for i := 0; i+1 < len(s.succOff); i++ {
+		for k := s.succOff[i]; k < s.succOff[i+1]; k++ {
+			es = append(es, [3]int{i, s.succ[k], s.succW[k]})
 		}
 	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a][0] != es[b][0] {
-			return es[a][0] < es[b][0]
-		}
-		return es[a][1] < es[b][1]
-	})
 	return es
 }

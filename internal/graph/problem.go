@@ -15,13 +15,21 @@ package graph
 
 import (
 	"errors"
-	"fmt"
+	"sync/atomic"
 )
 
 // Problem is a problem graph Gp: a directed acyclic graph whose nodes are
 // tasks with execution-time weights and whose edges carry communication-time
 // weights. Edge[i][j] > 0 means task i must complete before task j starts
 // and sends a message of cost Edge[i][j] (per system edge traversed).
+//
+// Edge is the authoring and input form. The first call that needs the
+// graph's structure — Validate, TopoOrder, Preds, Fingerprint and the other
+// structural queries, or any analysis handed the problem — freezes it into
+// a sparse view (successor and predecessor lists, topological order,
+// validation verdict) that every later call shares. Write edges with
+// SetEdge, which drops the view; writing Edge directly is only allowed
+// before the first freeze. See the freeze-point contract in fingerprint.go.
 //
 // The zero value is an empty graph with no tasks; use NewProblem to allocate
 // a graph of a given size.
@@ -34,9 +42,11 @@ type Problem struct {
 	// or 0 if there is no edge.
 	Edge [][]int
 
-	// fp memoizes Fingerprint; see the freeze-point contract in
-	// fingerprint.go. It also makes Problem no-copy (vet: copylocks).
-	fp fpMemo
+	// view memoizes the frozen sparse form and fp memoizes Fingerprint;
+	// see the freeze-point contract in fingerprint.go. They also make
+	// Problem no-copy (vet: copylocks).
+	view atomic.Pointer[sparse]
+	fp   fpMemo
 }
 
 // NewProblem returns a problem graph with n tasks, no edges, and all task
@@ -56,71 +66,63 @@ func NewProblem(n int) *Problem {
 // NumTasks returns np, the number of tasks.
 func (p *Problem) NumTasks() int { return len(p.Size) }
 
-// SetEdge records the precedence edge i→j with communication weight w.
-// It panics if i or j is out of range; use Validate to detect semantic
-// problems such as cycles or non-positive weights.
+// SetEdge records the precedence edge i→j with communication weight w and
+// drops the frozen view and fingerprint, so the next structural query sees
+// the change. It panics if i or j is out of range; use Validate to detect
+// semantic problems such as cycles or non-positive weights.
 func (p *Problem) SetEdge(i, j, w int) {
 	p.Edge[i][j] = w
+	p.view.Store(nil)
+	p.fp.reset()
 }
 
 // HasEdge reports whether the precedence edge i→j exists.
 func (p *Problem) HasEdge(i, j int) bool { return p.Edge[i][j] > 0 }
 
 // NumEdges returns the number of precedence edges.
-func (p *Problem) NumEdges() int {
-	n := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (p *Problem) NumEdges() int { return len(p.frozen().succ) }
+
+// The adjacency queries below return slices of the frozen view: they are
+// shared and read-only, and the caller must not modify them. Their
+// capacity is clipped, so an append copies instead of clobbering the view.
+// They panic on a problem whose edge matrix is not np×np.
 
 // Preds returns the predecessor task IDs of task i in ascending order.
 func (p *Problem) Preds(i int) []int {
-	var preds []int
-	for j := range p.Edge {
-		if p.Edge[j][i] > 0 {
-			preds = append(preds, j)
-		}
-	}
-	return preds
+	s := p.frozen()
+	return s.pred[s.predOff[i]:s.predOff[i+1]:s.predOff[i+1]]
+}
+
+// PredWeights returns the edge weights of task i's incoming edges, aligned
+// with Preds(i): PredWeights(i)[k] is the weight of Preds(i)[k]→i.
+func (p *Problem) PredWeights(i int) []int {
+	s := p.frozen()
+	return s.predW[s.predOff[i]:s.predOff[i+1]:s.predOff[i+1]]
 }
 
 // Succs returns the successor task IDs of task i in ascending order.
 func (p *Problem) Succs(i int) []int {
-	var succs []int
-	for j := range p.Edge[i] {
-		if p.Edge[i][j] > 0 {
-			succs = append(succs, j)
-		}
-	}
-	return succs
+	s := p.frozen()
+	return s.succ[s.succOff[i]:s.succOff[i+1]:s.succOff[i+1]]
+}
+
+// SuccWeights returns the edge weights of task i's outgoing edges, aligned
+// with Succs(i).
+func (p *Problem) SuccWeights(i int) []int {
+	s := p.frozen()
+	return s.succW[s.succOff[i]:s.succOff[i+1]:s.succOff[i+1]]
 }
 
 // InDegree returns the number of predecessors of task i.
 func (p *Problem) InDegree(i int) int {
-	n := 0
-	for j := range p.Edge {
-		if p.Edge[j][i] > 0 {
-			n++
-		}
-	}
-	return n
+	s := p.frozen()
+	return s.predOff[i+1] - s.predOff[i]
 }
 
 // OutDegree returns the number of successors of task i.
 func (p *Problem) OutDegree(i int) int {
-	n := 0
-	for j := range p.Edge[i] {
-		if p.Edge[i][j] > 0 {
-			n++
-		}
-	}
-	return n
+	s := p.frozen()
+	return s.succOff[i+1] - s.succOff[i]
 }
 
 // TotalWork returns the sum of all task sizes: the serial execution time of
@@ -136,10 +138,8 @@ func (p *Problem) TotalWork() int {
 // TotalComm returns the sum of all edge weights.
 func (p *Problem) TotalComm() int {
 	w := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			w += p.Edge[i][j]
-		}
+	for _, x := range p.frozen().succW {
+		w += x
 	}
 	return w
 }
@@ -181,84 +181,21 @@ var ErrCyclic = errors.New("graph: problem graph contains a cycle")
 
 // Validate checks the structural invariants of a problem graph: a square
 // edge matrix matching len(Size), non-negative task sizes and edge weights,
-// no self-loops, and acyclicity.
-func (p *Problem) Validate() error {
-	n := p.NumTasks()
-	if len(p.Edge) != n {
-		return fmt.Errorf("graph: edge matrix has %d rows, want %d", len(p.Edge), n)
-	}
-	for i := range p.Edge {
-		if len(p.Edge[i]) != n {
-			return fmt.Errorf("graph: edge matrix row %d has %d columns, want %d", i, len(p.Edge[i]), n)
-		}
-	}
-	for i, s := range p.Size {
-		if s < 0 {
-			return fmt.Errorf("graph: task %d has negative size %d", i, s)
-		}
-	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] < 0 {
-				return fmt.Errorf("graph: edge %d→%d has negative weight %d", i, j, p.Edge[i][j])
-			}
-			if i == j && p.Edge[i][j] != 0 {
-				return fmt.Errorf("graph: task %d has a self-loop", i)
-			}
-		}
-	}
-	if _, err := p.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
-}
+// no self-loops, and acyclicity. The verdict is part of the frozen view, so
+// repeated calls cost nothing.
+func (p *Problem) Validate() error { return p.frozen().err }
 
 // TopoOrder returns the task IDs in a topological order of the precedence
 // DAG (Kahn's algorithm; ties broken by ascending task ID so the order is
-// deterministic). It returns ErrCyclic if the graph has a cycle.
+// deterministic). It returns ErrCyclic if the graph has a cycle. The slice
+// is a fresh copy the caller owns.
 func (p *Problem) TopoOrder() ([]int, error) {
-	n := p.NumTasks()
-	indeg := make([]int, n)
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				indeg[j]++
-			}
-		}
+	s := p.frozen()
+	if s.topoErr != nil {
+		return nil, s.topoErr
 	}
-	// ready is kept sorted by construction: we scan IDs in ascending order
-	// and append newly freed tasks, then always take the minimum.
-	order := make([]int, 0, n)
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for len(ready) > 0 {
-		// Extract the minimum for determinism.
-		min := 0
-		for k := 1; k < len(ready); k++ {
-			if ready[k] < ready[min] {
-				min = k
-			}
-		}
-		v := ready[min]
-		ready[min] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, v)
-		for j := range p.Edge[v] {
-			if p.Edge[v][j] > 0 {
-				indeg[j]--
-				if indeg[j] == 0 {
-					ready = append(ready, j)
-				}
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, ErrCyclic
-	}
+	order := make([]int, len(s.order))
+	copy(order, s.order)
 	return order, nil
 }
 
@@ -288,19 +225,17 @@ func (p *Problem) Sinks() []int {
 // sizes and edge weights: the ideal-graph lower bound for the special case
 // where every task is its own cluster. It panics if the graph is cyclic.
 func (p *Problem) CriticalPathLength() int {
-	order, err := p.TopoOrder()
-	if err != nil {
-		panic(err)
+	s := p.frozen()
+	if s.topoErr != nil {
+		panic(s.topoErr)
 	}
 	end := make([]int, p.NumTasks())
 	best := 0
-	for _, i := range order {
+	for _, i := range s.order {
 		start := 0
-		for j := range p.Edge {
-			if p.Edge[j][i] > 0 {
-				if t := end[j] + p.Edge[j][i]; t > start {
-					start = t
-				}
+		for k := s.predOff[i]; k < s.predOff[i+1]; k++ {
+			if t := end[s.pred[k]] + s.predW[k]; t > start {
+				start = t
 			}
 		}
 		end[i] = start + p.Size[i]

@@ -2,9 +2,10 @@
 // clustered problem graph onto the system graph closure (a fully connected
 // machine). Because every pair of processors in the closure is adjacent,
 // every inter-cluster message crosses exactly one link, so the ideal start
-// and end times follow directly from the clustered edge matrix. The ideal
+// and end times follow directly from the clustered edge weights. The ideal
 // makespan is a lower bound on the total time of any real assignment
-// (Theorem 3), and the ideal edge matrix feeds the critical-edge analysis.
+// (Theorem 3), and the ideal edge weights — start of the consumer minus end
+// of the producer — feed the critical-edge analysis.
 package ideal
 
 import (
@@ -18,11 +19,6 @@ type Graph struct {
 	// Start and End are the ideal start/end time of every task
 	// (matrices i_start and i_end of the paper).
 	Start, End []int
-	// Edge is the ideal edge matrix i_edge: Edge[j][i] = Start[i] − End[j]
-	// for every clustered problem edge j→i (clus_edge[j][i] > 0), else 0.
-	// Always Edge[j][i] ≥ clus_edge[j][i]; the excess is slack introduced
-	// by data dependencies.
-	Edge [][]int
 	// LowerBound is the ideal total time: the makespan no assignment onto
 	// the real system graph can beat.
 	LowerBound int
@@ -30,9 +26,11 @@ type Graph struct {
 	// in ascending ID order.
 	LatestTasks []int
 
-	// CEdge is the clustered edge matrix the graph was derived from,
-	// retained because the critical-edge analysis compares Edge against it.
-	CEdge [][]int
+	// prob and clus are the inputs the graph was derived from: the ideal
+	// edge of j→i is computed on demand from Start, End and the clustered
+	// weight rather than stored as an n×n matrix.
+	prob *graph.Problem
+	clus *graph.Clustering
 }
 
 // Derive computes the ideal graph of problem p under clustering c
@@ -44,7 +42,7 @@ type Graph struct {
 //	i_start[i] = max over predecessors j of (i_end[j] + clus_edge[j][i])
 //	i_end[i]   = i_start[i] + task_size[i]
 //
-// Predecessors are found in the problem edge matrix, because intra-cluster
+// Predecessors are every problem edge into i, because intra-cluster
 // precedence edges are absent from clus_edge but still order execution
 // (§4.1's task-1/task-4 example).
 func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
@@ -59,15 +57,15 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 	g := &Graph{
 		Start: make([]int, n),
 		End:   make([]int, n),
-		CEdge: graph.ClusteredEdges(p, c),
+		prob:  p,
+		clus:  c,
 	}
 	for _, i := range order {
 		start := 0
-		for j := 0; j < n; j++ {
-			if p.Edge[j][i] > 0 {
-				if t := g.End[j] + g.CEdge[j][i]; t > start {
-					start = t
-				}
+		ws := p.PredWeights(i)
+		for k, j := range p.Preds(i) {
+			if t := g.End[j] + c.ClusteredWeight(j, i, ws[k]); t > start {
+				start = t
 			}
 		}
 		g.Start[i] = start
@@ -81,19 +79,24 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 			g.LatestTasks = append(g.LatestTasks, i)
 		}
 	}
-	g.Edge = make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range g.Edge {
-		g.Edge[i], cells = cells[:n:n], cells[n:]
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if g.CEdge[j][i] > 0 {
-				g.Edge[j][i] = g.Start[i] - g.End[j]
-			}
-		}
-	}
 	return g, nil
+}
+
+// clusWeight returns clus_edge[j][i] (0 when j→i is not a problem edge or
+// is intra-cluster).
+func (g *Graph) clusWeight(j, i int) int {
+	return g.clus.ClusteredWeight(j, i, g.prob.Edge[j][i])
+}
+
+// Edge returns the ideal edge weight i_edge[j][i] = Start[i] − End[j] of a
+// clustered problem edge j→i, or 0 when j→i is absent or intra-cluster.
+// Always Edge(j, i) ≥ clus_edge[j][i]; the excess is slack introduced by
+// data dependencies.
+func (g *Graph) Edge(j, i int) int {
+	if g.clusWeight(j, i) <= 0 {
+		return 0
+	}
+	return g.Start[i] - g.End[j]
 }
 
 // Slack returns the slack of clustered problem edge j→i in the ideal graph:
@@ -101,10 +104,19 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 // the precondition of Theorems 1 and 2 for criticality. Slack of an edge not
 // in the clustered graph is reported as -1.
 func (g *Graph) Slack(j, i int) int {
-	if g.CEdge[j][i] <= 0 {
+	w := g.clusWeight(j, i)
+	if w <= 0 {
 		return -1
 	}
-	return g.Edge[j][i] - g.CEdge[j][i]
+	return g.Start[i] - g.End[j] - w
+}
+
+// Tight reports whether problem edge j→i of weight w delivers exactly when
+// task i starts: Start[i] == End[j] + clus_edge[j][i]. For an inter-cluster
+// edge this is zero slack; for an intra-cluster edge (communication free)
+// it means i waits on nothing but j's completion.
+func (g *Graph) Tight(j, i, w int) bool {
+	return g.Start[i] == g.End[j]+g.clus.ClusteredWeight(j, i, w)
 }
 
 // IsLatest reports whether task i is a latest task.
@@ -113,8 +125,9 @@ func (g *Graph) IsLatest(i int) bool {
 }
 
 // Validate cross-checks the internal invariants of a derived ideal graph
-// against its problem graph: end = start + size, i_edge ≥ clus_edge,
-// dataflow consistency, and the lower bound being the max end time.
+// against its problem graph: end = start + size, every task starting no
+// earlier than each predecessor delivers (which is i_edge ≥ clus_edge for
+// the clustered edges), and the lower bound being the max end time.
 func (g *Graph) Validate(p *graph.Problem) error {
 	n := p.NumTasks()
 	if len(g.Start) != n || len(g.End) != n {
@@ -128,15 +141,11 @@ func (g *Graph) Validate(p *graph.Problem) error {
 		if g.End[i] > maxEnd {
 			maxEnd = g.End[i]
 		}
-		for j := 0; j < n; j++ {
-			if p.Edge[j][i] > 0 {
-				if g.Start[i] < g.End[j]+g.CEdge[j][i] {
-					return fmt.Errorf("ideal: task %d starts at %d before predecessor %d delivers at %d",
-						i, g.Start[i], j, g.End[j]+g.CEdge[j][i])
-				}
-			}
-			if g.CEdge[j][i] > 0 && g.Edge[j][i] < g.CEdge[j][i] {
-				return fmt.Errorf("ideal: i_edge[%d][%d]=%d below clus_edge=%d", j, i, g.Edge[j][i], g.CEdge[j][i])
+		ws := p.PredWeights(i)
+		for k, j := range p.Preds(i) {
+			if d := g.End[j] + g.clus.ClusteredWeight(j, i, ws[k]); g.Start[i] < d {
+				return fmt.Errorf("ideal: task %d starts at %d before predecessor %d delivers at %d",
+					i, g.Start[i], j, d)
 			}
 		}
 	}

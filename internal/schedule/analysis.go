@@ -28,9 +28,10 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 			maxEnd = res.End[i]
 		}
 		ready := 0
-		for _, j := range e.preds[i] {
+		preds, ws := e.Prob.Preds(i), e.Prob.PredWeights(i)
+		for k, j := range preds {
 			t := res.End[j]
-			if w := e.CEdge[j][i]; w > 0 {
+			if w := e.Clus.ClusteredWeight(j, i, ws[k]); w > 0 {
 				t += w * e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
 			}
 			if res.Start[i] < t {
@@ -41,11 +42,11 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 				ready = t
 			}
 		}
-		if res.Start[i] != ready && len(e.preds[i]) > 0 {
+		if res.Start[i] != ready && len(preds) > 0 {
 			return fmt.Errorf("schedule: task %d idles from %d to %d (dataflow model starts immediately)",
 				ready, res.Start[i], i)
 		}
-		if len(e.preds[i]) == 0 && res.Start[i] != 0 {
+		if len(preds) == 0 && res.Start[i] != 0 {
 			return fmt.Errorf("schedule: source task %d starts at %d, want 0", i, res.Start[i])
 		}
 	}
@@ -138,8 +139,9 @@ func (e *Evaluator) AnalyzeComm(a *Assignment) CommStats {
 	var st CommStats
 	n := e.Prob.NumTasks()
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			w := e.CEdge[j][i]
+		ws := e.Prob.SuccWeights(j)
+		for k, i := range e.Prob.Succs(j) {
+			w := e.Clus.ClusteredWeight(j, i, ws[k])
 			if w == 0 {
 				continue
 			}

@@ -26,7 +26,7 @@ func (e *Evaluator) EvaluateContended(a *Assignment) *Result {
 	ready := make([]int, n) // data-ready time, valid once unscheduledPreds==0
 	scheduled := make([]bool, n)
 	for i := 0; i < n; i++ {
-		unscheduledPreds[i] = len(e.preds[i])
+		unscheduledPreds[i] = e.Prob.InDegree(i)
 	}
 
 	for done := 0; done < n; done++ {
@@ -57,12 +57,10 @@ func (e *Evaluator) EvaluateContended(a *Assignment) *Result {
 			res.TotalTime = res.End[i]
 		}
 		// Release successors.
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[i][j] == 0 {
-				continue
-			}
+		ws := e.Prob.SuccWeights(i)
+		for k, j := range e.Prob.Succs(i) {
 			arrive := res.End[i]
-			if w := e.CEdge[i][j]; w > 0 {
+			if w := e.Clus.ClusteredWeight(i, j, ws[k]); w > 0 {
 				arrive += w * e.Dist.At(proc, a.ProcOf[e.Clus.Of[j]])
 			}
 			if arrive > ready[j] {

@@ -71,12 +71,10 @@ func (e *Evaluator) EvaluateLinkContended(a *Assignment, routes *paths.Routes) *
 	ready := make([]int, n)     // max contribution seen so far
 	started := make([]bool, n)
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if e.Prob.Edge[j][i] == 0 {
-				continue
-			}
+		ws := e.Prob.SuccWeights(j)
+		for k, i := range e.Prob.Succs(j) {
 			remaining[i]++
-			w := e.CEdge[j][i]
+			w := e.Clus.ClusteredWeight(j, i, ws[k])
 			pj := a.ProcOf[e.Clus.Of[j]]
 			pi := a.ProcOf[e.Clus.Of[i]]
 			if w == 0 || pj == pi {
@@ -120,11 +118,9 @@ func (e *Evaluator) EvaluateLinkContended(a *Assignment, routes *paths.Routes) *
 			heap.Push(&queue, linkEvent{time: res.End[i], id: m.id, hop: 0})
 		}
 		// Resolve local successors.
-		for s := 0; s < n; s++ {
-			if e.Prob.Edge[i][s] == 0 {
-				continue
-			}
-			w := e.CEdge[i][s]
+		ws := e.Prob.SuccWeights(i)
+		for k, s := range e.Prob.Succs(i) {
+			w := e.Clus.ClusteredWeight(i, s, ws[k])
 			if w == 0 || a.ProcOf[e.Clus.Of[i]] == a.ProcOf[e.Clus.Of[s]] {
 				contribute(s, res.End[i])
 			}

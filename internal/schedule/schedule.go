@@ -105,9 +105,9 @@ type Result struct {
 }
 
 // Evaluator computes total time for assignments of one (problem, clustering,
-// system) triple. It precomputes the clustered edge matrix, per-task
-// predecessor lists, and a flattened topologically renumbered predecessor
-// structure, so repeated evaluation during refinement performs no per-call
+// system) triple. It precomputes a flattened, topologically renumbered
+// predecessor structure straight from the problem's frozen predecessor
+// lists, so repeated evaluation during refinement performs no per-call
 // allocation.
 //
 // An Evaluator owns a scratch arena reused by TotalTime and EvaluateInto
@@ -116,13 +116,11 @@ type Result struct {
 // through their own handle obtained with Fork, which shares the read-only
 // precomputation and allocates only a fresh arena.
 type Evaluator struct {
-	Prob  *graph.Problem
-	Clus  *graph.Clustering
-	Dist  *paths.Table
-	CEdge [][]int // clustered edge matrix clus_edge
+	Prob *graph.Problem
+	Clus *graph.Clustering
+	Dist *paths.Table
 
-	order []int   // topological order of the task DAG
-	preds [][]int // preds[i]: predecessor tasks of i (problem edges)
+	order []int // topological order of the task DAG
 
 	// Hot-path precomputation, read-only after construction and shared by
 	// every Fork. Tasks are renumbered by topological position t (the task
@@ -175,14 +173,11 @@ func NewEvaluator(p *graph.Problem, c *graph.Clustering, dist *paths.Table) (*Ev
 	if err != nil {
 		return nil, err
 	}
-	n := p.NumTasks()
 	e := &Evaluator{
 		Prob:  p,
 		Clus:  c,
 		Dist:  dist,
-		CEdge: graph.ClusteredEdges(p, c),
 		order: order,
-		preds: make([][]int, n),
 	}
 	// The packed evaluation structures hold sizes and clustered weights as
 	// int32; reject inputs that would silently truncate (Validate only
@@ -192,23 +187,21 @@ func NewEvaluator(p *graph.Problem, c *graph.Clustering, dist *paths.Table) (*Ev
 			return nil, fmt.Errorf("schedule: task %d size %d exceeds the evaluator's %d limit", i, size, math.MaxInt32)
 		}
 	}
-	for j := range e.CEdge {
-		for i, w := range e.CEdge[j] {
-			if w > math.MaxInt32 {
+	for j := range p.Size {
+		ws := p.SuccWeights(j)
+		for k, i := range p.Succs(j) {
+			if w := c.ClusteredWeight(j, i, ws[k]); w > math.MaxInt32 {
 				return nil, fmt.Errorf("schedule: clustered edge %d→%d weight %d exceeds the evaluator's %d limit", j, i, w, math.MaxInt32)
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		e.preds[i] = p.Preds(i)
 	}
 	e.precompute()
 	return e, nil
 }
 
 // precompute flattens the evaluation state: the transposed distance matrix
-// and the predecessor CSR split into communication-free and communicating
-// edges, both indexed by topological position.
+// and the predecessor CSR, indexed by topological position, with each
+// edge's clustered weight (0 for an intra-cluster precedence).
 func (e *Evaluator) precompute() {
 	n := e.Prob.NumTasks()
 	ns := e.Dist.NumNodes()
@@ -229,13 +222,14 @@ func (e *Evaluator) precompute() {
 	for t, i := range e.order {
 		e.size[t] = int32(e.Prob.Size[i])
 		e.clusOf[t] = int32(e.Clus.Of[i])
-		e.commOff[t+1] = e.commOff[t] + int32(len(e.preds[i]))
+		e.commOff[t+1] = e.commOff[t] + int32(e.Prob.InDegree(i))
 	}
 	e.commEdges = make([]commEdge, e.commOff[n])
 	q := 0
 	for _, i := range e.order {
-		for _, j := range e.preds[i] {
-			e.commEdges[q] = commEdge{pred: pos[j], clus: int32(e.Clus.Of[j]), w: int32(e.CEdge[j][i])}
+		ws := e.Prob.PredWeights(i)
+		for k, j := range e.Prob.Preds(i) {
+			e.commEdges[q] = commEdge{pred: pos[j], clus: int32(e.Clus.Of[j]), w: int32(e.Clus.ClusteredWeight(j, i, ws[k]))}
 			q++
 		}
 	}
@@ -328,25 +322,15 @@ func (e *Evaluator) Fork() *Evaluator {
 	return &f
 }
 
-// CommMatrix returns the communication matrix comm[np][np] under assignment
-// a: comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)] (Algorithm I
-// of §4.3.4). Intra-cluster entries are zero.
-func (e *Evaluator) CommMatrix(a *Assignment) [][]int {
-	n := e.Prob.NumTasks()
-	comm := make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range comm {
-		comm[i], cells = cells[:n:n], cells[n:]
+// Comm returns one entry of the communication matrix comm[np][np] under
+// assignment a: comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)]
+// (Algorithm I of §4.3.4). Intra-cluster and absent edges give zero.
+func (e *Evaluator) Comm(a *Assignment, j, i int) int {
+	w := e.Clus.ClusteredWeight(j, i, e.Prob.Edge[j][i])
+	if w <= 0 {
+		return 0
 	}
-	for j := 0; j < n; j++ {
-		pj := a.ProcOf[e.Clus.Of[j]]
-		for i := 0; i < n; i++ {
-			if w := e.CEdge[j][i]; w > 0 {
-				comm[j][i] = w * e.Dist.At(pj, a.ProcOf[e.Clus.Of[i]])
-			}
-		}
-	}
-	return comm
+	return w * e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
 }
 
 // Evaluate computes start/end times and the total time of assignment a

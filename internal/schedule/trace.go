@@ -28,8 +28,9 @@ func (e *Evaluator) Trace(a *Assignment, res *Result) []Message {
 	var msgs []Message
 	n := e.Prob.NumTasks()
 	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			w := e.CEdge[j][i]
+		ws := e.Prob.SuccWeights(j)
+		for k, i := range e.Prob.Succs(j) {
+			w := e.Clus.ClusteredWeight(j, i, ws[k])
 			if w == 0 {
 				continue
 			}

@@ -95,11 +95,12 @@ type (
 	// Schedule is an evaluated assignment: per-task start/end times, the
 	// total time, and the latest tasks.
 	Schedule = schedule.Result
-	// IdealGraph carries the closure-mapped start/end times, the ideal
-	// edge matrix and the lower bound.
+	// IdealGraph carries the closure-mapped start/end times, the latest
+	// tasks and the lower bound; ideal edge weights and slacks are
+	// derived from them on demand.
 	IdealGraph = ideal.Graph
-	// CriticalAnalysis holds critical problem edges, critical abstract
-	// edges and per-cluster critical degrees.
+	// CriticalAnalysis holds the sorted list of critical problem edges,
+	// the critical abstract edges and per-cluster critical degrees.
 	CriticalAnalysis = critical.Analysis
 	// Result is the outcome of a full mapping run.
 	Result = core.Result

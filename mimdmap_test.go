@@ -90,8 +90,8 @@ func TestEvaluatorAndDeriveIdeal(t *testing.T) {
 	// are critical.
 	want := map[[2]int]int{{0, 1}: 3, {0, 2}: 1, {1, 3}: 2, {2, 3}: 4}
 	for e, w := range want {
-		if crit.ProbEdge[e[0]][e[1]] != w {
-			t.Fatalf("edge %v = %d, want %d", e, crit.ProbEdge[e[0]][e[1]], w)
+		if crit.ProbWeight(e[0], e[1]) != w {
+			t.Fatalf("edge %v = %d, want %d", e, crit.ProbWeight(e[0], e[1]), w)
 		}
 	}
 	if crit.NumCriticalProbEdges() != 4 {
