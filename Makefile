@@ -10,7 +10,7 @@ GO ?= go
 #   make bench-search BENCH_LABEL=portfolio
 BENCH_LABEL ?=
 
-.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke fuzz-smoke perfbench-check ci clean
+.PHONY: all build test race vet fmt lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke fuzz-smoke perfbench-check ci clean
 
 all: ci
 
@@ -28,6 +28,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every tracked Go file, perfbench/ included, must be
+# gofmt-clean. vet, lint and test all pass unformatted code, so nothing
+# else enforces it.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # The repo's own invariant suite (internal/lint via cmd/mapcheck):
 # determinism-contract, zero-alloc-contract, and registry-wiring analyzers
@@ -114,7 +120,7 @@ fuzz-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet lint test race bench-smoke fuzz-smoke perfbench-check
+ci: build vet fmt lint test race bench-smoke fuzz-smoke perfbench-check
 
 clean:
 	$(GO) clean ./...

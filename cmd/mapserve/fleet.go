@@ -46,7 +46,7 @@ func toForwardWire(req *mimdmap.Request) (*forwardRequest, bool) {
 	if o.Rand != nil || o.Refiner != nil || o.Delays != nil || o.Dist != nil {
 		return nil, false
 	}
-	if o.DisableTermination || o.RecordTrials || o.Move != 0 || o.Seed != 0 {
+	if o.DisableTermination || o.RecordTrials || o.Seed != 0 {
 		return nil, false
 	}
 	if o.Propagation != mimdmap.PaperPropagation && o.Propagation != mimdmap.FullPropagation {

@@ -394,7 +394,6 @@ func TestForwardWireDeclinesUnrepresentable(t *testing.T) {
 	cases := map[string]func(r *mimdmap.Request){
 		"no_cache":      func(r *mimdmap.Request) { r.NoCache = true },
 		"omit_schedule": func(r *mimdmap.Request) { r.OmitSchedule = true },
-		"move":          func(r *mimdmap.Request) { r.Options.Move = 3 },
 		"record_trials": func(r *mimdmap.Request) { r.Options.RecordTrials = true },
 	}
 	for name, mutate := range cases {

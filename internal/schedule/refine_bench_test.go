@@ -29,8 +29,12 @@ func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *A
 
 // benchRefineTrials measures refinement trials/sec: candidate swaps of a
 // fixed incumbent drawn ahead and priced SwapLanes at a time, exactly as
-// core.refine does. b.N counts trials, not batches.
-func benchRefineTrials(b *testing.B, sys *graph.System, seed int64) {
+// core.refine does. b.N counts trials, not batches. The incumbent never
+// changes, so once the K² pairs are priced every batch is a priced-pair
+// table hit: this is the memo-hit steady state of a long sweep past a
+// local optimum. With cold set, lane 0 is committed after every batch,
+// so the table is invalidated and every batch runs the full kernel.
+func benchRefineTrials(b *testing.B, sys *graph.System, seed int64, cold bool) {
 	e, a := benchInstance(b, sys, seed)
 	k := a.K()
 	rng := rand.New(rand.NewSource(seed + 1))
@@ -44,15 +48,35 @@ func benchRefineTrials(b *testing.B, sys *graph.System, seed int64) {
 		}
 		sess.TrySwapBatch(&ks, &ls, &totals)
 		refineBenchSink += totals[0] + totals[SwapLanes-1]
+		if cold {
+			sess.CommitSwap(ks[0], ls[0], totals[0])
+		}
 	}
 }
 
 var refineBenchSink int
 
-func BenchmarkRefineTrialHypercube16(b *testing.B) { benchRefineTrials(b, topology.Hypercube(4), 1991) }
-func BenchmarkRefineTrialHypercube32(b *testing.B) { benchRefineTrials(b, topology.Hypercube(5), 1991) }
-func BenchmarkRefineTrialMesh4x4(b *testing.B)     { benchRefineTrials(b, topology.Mesh(4, 4), 1991) }
-func BenchmarkRefineTrialMesh5x8(b *testing.B)     { benchRefineTrials(b, topology.Mesh(5, 8), 1991) }
+func BenchmarkRefineTrialHypercube16(b *testing.B) {
+	benchRefineTrials(b, topology.Hypercube(4), 1991, false)
+}
+func BenchmarkRefineTrialHypercube32(b *testing.B) {
+	benchRefineTrials(b, topology.Hypercube(5), 1991, false)
+}
+func BenchmarkRefineTrialMesh4x4(b *testing.B) {
+	benchRefineTrials(b, topology.Mesh(4, 4), 1991, false)
+}
+func BenchmarkRefineTrialMesh5x8(b *testing.B) {
+	benchRefineTrials(b, topology.Mesh(5, 8), 1991, false)
+}
+
+// The cold twins commit after every batch, so each one is priced by the
+// kernel rather than replayed from the priced-pair table.
+func BenchmarkRefineTrialColdHypercube32(b *testing.B) {
+	benchRefineTrials(b, topology.Hypercube(5), 1991, true)
+}
+func BenchmarkRefineTrialColdMesh5x8(b *testing.B) {
+	benchRefineTrials(b, topology.Mesh(5, 8), 1991, true)
+}
 
 // BenchmarkRefineTotalTime is the scalar fast path: one full evaluation,
 // no allocation, reusing the evaluator's scratch arena.

@@ -81,24 +81,22 @@ func (v *laneViews) commitAssign(procOf []int) {
 // full Evaluator.TotalTime of each swapped assignment — so accept/reject
 // decisions stay bit-identical to trial-at-a-time refinement.
 //
-// Since the delta-evaluation work (delta.go), both TrySwap and
-// TrySwapBatch first consult the session's priced-pair table (a swap's
-// exact total depends only on the pair and the committed incumbent, so
-// totals priced since the last commit replay for free), then attempt
-// incremental cone pricing — re-evaluating only the tasks downstream of
-// the two swapped processors against the committed incumbent's cached end
-// times — and fall back to the full pass only when the cone outgrows the
-// session's budget. Totals are exact on every path.
+// Both TrySwap and TrySwapBatch first consult the session's priced-pair
+// table (a swap's exact total depends only on the pair and the committed
+// incumbent, so totals priced since the last commit replay for free);
+// a miss takes one full pass — scalar for TrySwap, the interleaved kernel
+// for TrySwapBatch. Totals are exact on every path.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
-// whose exact total the caller already knows (e.g. a TrySwapBatch lane) by
-// re-walking just that swap's cone, and CommitAssign replaces the incumbent
-// wholesale (full-reshuffle moves, annealing restarts, Bokhari jumps). A
-// session allocates only at construction; every Try/Commit method is
-// allocation-free. Sessions share the Evaluator's read-only precomputation,
-// so concurrent refinement chains may each run their own session against
-// one Evaluator without locks.
+// whose exact total the caller already knows (e.g. a TrySwapBatch lane),
+// and CommitAssign replaces the incumbent wholesale (full-reshuffle moves,
+// annealing restarts, Bokhari jumps). Commits are O(1) apart from
+// CommitAssign's copy: the session caches no per-task state of the
+// incumbent. A session allocates only at construction; every Try/Commit
+// method is allocation-free. Sessions share the Evaluator's read-only
+// precomputation, so concurrent refinement chains may each run their own
+// session against one Evaluator without locks.
 type SwapSession struct {
 	e *Evaluator
 
@@ -107,19 +105,6 @@ type SwapSession struct {
 
 	lanes laneViews        // lane-major views of the batch kernel
 	endB  [][SwapLanes]int // lane-interleaved end times of the batch pass
-
-	// Delta-evaluation state (delta.go): the committed incumbent's end
-	// times by topo position, their running prefix and suffix maxima (the
-	// suffix cache lets the cone scan stop at its last pending mark), the
-	// per-position lane bitmask of the current cone, the positions it
-	// marked (for cheap unmarking), and the edge-visit budget past which a
-	// batch falls back to the full kernel.
-	endC       []int
-	prefMax    []int
-	suffMax    []int
-	mask       []uint8
-	visited    []int32
-	coneBudget int
 
 	// Priced-pair table, the KL-gain-table analogue for this metric: a
 	// swap's exact total depends only on the pair (k, l) and the committed
@@ -171,25 +156,17 @@ func (s *SwapSession) bumpEpoch() {
 func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 	n := len(e.size)
 	s := &SwapSession{
-		e:          e,
-		scratch:    make([]int, n),
-		endB:       make([][SwapLanes]int, n),
-		lanes:      newLaneViews(a),
-		endC:       make([]int, n),
-		prefMax:    make([]int, n),
-		suffMax:    make([]int, n),
-		mask:       make([]uint8, n),
-		visited:    make([]int32, 0, n),
-		coneBudget: defaultConeBudget(len(e.commEdges)),
+		e:       e,
+		scratch: make([]int, n),
+		endB:    make([][SwapLanes]int, n),
+		lanes:   newLaneViews(a),
 	}
 	if k := a.K(); k*k <= maxMemoPairs {
 		s.memoTotal = make([]int, k*k)
 		s.memoStamp = make([]uint32, k*k)
 		s.memoEpoch = 1
 	}
-	s.total = e.fillEnds(s.lanes.a.ProcOf, s.endC)
-	s.rebuildPrefMax(0)
-	s.rebuildSuffMax()
+	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
 	return s
 }
 
@@ -211,9 +188,8 @@ func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 
 // TrySwap returns the exact total time of the incumbent with clusters k and
 // l exchanged, without committing. Call Commit to accept the trial.
-// TrySwap(k, k) prices the incumbent itself. The swap's cone is priced
-// incrementally against the committed end times; a cone past the budget
-// falls back to one full scalar evaluation.
+// TrySwap(k, k) prices the incumbent itself. A pair not yet priced against
+// the incumbent costs one full scalar evaluation.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwap(k, l int) int {
@@ -224,18 +200,10 @@ func (s *SwapSession) TrySwap(k, l int) int {
 			return total
 		}
 	}
-	var ks, ls, totals [SwapLanes]int
-	ks[0], ls[0] = k, l // lanes 1..7 stay identity (0, 0): free
-	s.lanes.sync(&ks, &ls)
-	var total int
-	if s.tryDeltaBatch(&ks, &ls, &totals) {
-		total = totals[0]
-	} else {
-		a := s.lanes.a
-		a.Swap(k, l)
-		total = s.e.fillEnds(a.ProcOf, s.scratch)
-		a.Swap(k, l)
-	}
+	a := s.lanes.a
+	a.Swap(k, l)
+	total := s.e.fillEnds(a.ProcOf, s.scratch)
+	a.Swap(k, l)
 	if s.memoTotal != nil {
 		i := s.memoIdx(k, l)
 		s.memoStamp[i] = s.memoEpoch
@@ -270,16 +238,13 @@ func (s *SwapSession) Commit() {
 }
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
-// the caller already knows from a TrySwap or TrySwapBatch lane. It applies
-// the swap to the incumbent and walks the swap's cone once to bring the
-// cached end times (and their prefix maxima) back in line — O(cone), not
-// O(all edges), and allocation-free.
+// the caller already knows from a TrySwap or TrySwapBatch lane, in O(1).
+// An identity swap (k == l) keeps the priced-pair table valid.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
 	if k != l {
-		s.applyConeToCommitted(k, l)
 		s.bumpEpoch()
 	}
 	s.total = total
@@ -287,18 +252,14 @@ func (s *SwapSession) CommitSwap(k, l, total int) {
 }
 
 // CommitAssign replaces the committed incumbent with procOf (copied), whose
-// exact total time the caller already knows from TryAssign. An arbitrary
-// replacement shares no cone with the old incumbent, so the cached end
-// times are refreshed with one full evaluation pass. Allocation-free.
+// exact total time the caller already knows from TryAssign. It costs one
+// O(K) copy and is allocation-free.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
 	s.pending = false
-	s.e.fillEnds(s.lanes.a.ProcOf, s.endC)
-	s.rebuildPrefMax(0)
-	s.rebuildSuffMax()
 	s.bumpEpoch()
 }
 
@@ -307,11 +268,9 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 // receives its exact total time. Lanes are independent — duplicates are
 // fine, and ks[i] == ls[i] prices the unperturbed incumbent — and nothing
 // is committed. A batch whose every pair is already priced against the
-// current incumbent replays from the priced-pair table; otherwise it is
-// priced incrementally (one shared scan re-evaluating only each lane's
-// cone against the committed end times), falling back to the full
-// interleaved evaluation pass when the union of cones outgrows the
-// session's budget. Every path yields exact totals.
+// current incumbent replays from the priced-pair table; otherwise one
+// interleaved evaluation pass prices all SwapLanes lanes. Both paths yield
+// exact totals.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
@@ -330,9 +289,7 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 		}
 	}
 	s.lanes.sync(ks, ls)
-	if !s.tryDeltaBatch(ks, ls, totals) {
-		s.fullSwapBatch(totals)
-	}
+	s.fullSwapBatch(totals)
 	if s.memoTotal != nil {
 		for lane := 0; lane < SwapLanes; lane++ {
 			i := s.memoIdx(ks[lane], ls[lane])
@@ -342,7 +299,7 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 	}
 }
 
-// fullSwapBatch is the non-incremental batch kernel: one interleaved
+// fullSwapBatch is the batch kernel: one interleaved
 // topological pass pricing all SwapLanes lanes, each edge record loaded
 // once for all eight. The lane views must be synced first.
 //

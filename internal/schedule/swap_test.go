@@ -8,20 +8,16 @@ import (
 	"mimdmap/internal/topology"
 )
 
-// Delta-vs-full metamorphic tests: a delta-evaluating session, a session
-// forced onto the full kernel, and the scalar evaluator must agree on the
-// exact total of every trial of a random swap sequence, across every kind
-// of commit the refiners perform — lane commits, blind scalar commits,
-// wholesale CommitAssign — and across degenerate (identity, duplicate)
-// lanes. The cached end times must stay byte-identical to a fresh rebuild.
+// Session oracle tests: the priced-pair memo, the scalar pass and the
+// interleaved batch kernel must agree with a fresh Evaluator.TotalTime on
+// the exact total of every trial of a random swap sequence, across every
+// kind of commit the refiners perform — lane commits, blind scalar
+// commits, wholesale CommitAssign — and across degenerate (identity,
+// duplicate) lanes.
 
-// forceFullKernel routes every future TrySwap/TrySwapBatch of the session
-// down the full evaluation pass by exhausting the cone budget.
-func forceFullKernel(s *SwapSession) { s.coneBudget = -1 }
-
-// deltaTestSystems are the machine shapes the walk runs on: regular,
+// sessionTestSystems are the machine shapes the walk runs on: regular,
 // irregular, and tiny.
-func deltaTestSystems(seed int64) []*graph.System {
+func sessionTestSystems(seed int64) []*graph.System {
 	return []*graph.System{
 		topology.Mesh(4, 4),
 		topology.Hypercube(4),
@@ -30,24 +26,27 @@ func deltaTestSystems(seed int64) []*graph.System {
 	}
 }
 
-// TestDeltaMatchesFullOverRandomSwapSequences is the delta oracle: over a
-// long random walk of batched and scalar trials with interleaved commits,
-// every total from the delta path must equal the forced-full path and the
-// scalar evaluator, and the committed end-time cache must equal a fresh
-// full evaluation of the incumbent after every commit.
+// TestDeltaMatchesFullOverRandomSwapSequences is the session oracle: over
+// a long random walk of batched and scalar trials with interleaved
+// commits, every total the session prices — from the priced-pair table,
+// the scalar pass or the batch kernel — must equal the scalar evaluator on
+// the same swapped assignment, and the committed total must equal a fresh
+// evaluation of the incumbent after every commit.
 func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
-	for _, sys := range deltaTestSystems(17) {
+	for _, sys := range sessionTestSystems(17) {
 		for _, seed := range []int64{3, 1991} {
 			e, a := benchInstance(t, sys, seed)
 			k := a.K()
 			rng := rand.New(rand.NewSource(seed + 7))
-			delta := e.NewSwapSession(a)
-			full := e.NewSwapSession(a)
-			forceFullKernel(full)
+			sess := e.NewSwapSession(a)
 			oracle := a.Clone()
+			price := func(i, j int) int {
+				oracle.Swap(i, j)
+				defer oracle.Swap(i, j)
+				return e.TotalTime(oracle)
+			}
 
-			var ks, ls, dTotals, fTotals [SwapLanes]int
-			freshEnds := make([]int, len(e.size))
+			var ks, ls, totals [SwapLanes]int
 			perm := make([]int, k)
 			for round := 0; round < 120; round++ {
 				for l := 0; l < SwapLanes; l++ {
@@ -55,17 +54,10 @@ func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
 				}
 				ks[2], ls[2] = ks[1], ls[1]       // duplicate lane
 				ks[SwapLanes-1] = ls[SwapLanes-1] // identity lane
-				delta.TrySwapBatch(&ks, &ls, &dTotals)
-				full.TrySwapBatch(&ks, &ls, &fTotals)
+				sess.TrySwapBatch(&ks, &ls, &totals)
 				for l := 0; l < SwapLanes; l++ {
-					oracle.Swap(ks[l], ls[l])
-					want := e.TotalTime(oracle)
-					oracle.Swap(ks[l], ls[l])
-					if dTotals[l] != want {
-						t.Fatalf("%s seed %d round %d lane %d: delta total %d, evaluator says %d", sys.Name, seed, round, l, dTotals[l], want)
-					}
-					if fTotals[l] != want {
-						t.Fatalf("%s seed %d round %d lane %d: full total %d, evaluator says %d", sys.Name, seed, round, l, fTotals[l], want)
+					if want := price(ks[l], ls[l]); totals[l] != want {
+						t.Fatalf("%s seed %d round %d lane %d: batch total %d, evaluator says %d", sys.Name, seed, round, l, totals[l], want)
 					}
 				}
 				// Scalar trials agree too, including the identity swap.
@@ -73,8 +65,8 @@ func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
 				if round%5 == 0 {
 					sj = si
 				}
-				if dt, ft := delta.TrySwap(si, sj), full.TrySwap(si, sj); dt != ft {
-					t.Fatalf("%s seed %d round %d: scalar TrySwap(%d,%d) delta %d, full %d", sys.Name, seed, round, si, sj, dt, ft)
+				if got, want := sess.TrySwap(si, sj), price(si, sj); got != want {
+					t.Fatalf("%s seed %d round %d: scalar TrySwap(%d,%d) = %d, evaluator says %d", sys.Name, seed, round, si, sj, got, want)
 				}
 
 				// Commit something: a priced lane, a blind scalar trial, a
@@ -82,96 +74,28 @@ func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
 				switch round % 4 {
 				case 0:
 					lane := round / 4 % SwapLanes
-					delta.CommitSwap(ks[lane], ls[lane], dTotals[lane])
-					full.CommitSwap(ks[lane], ls[lane], fTotals[lane])
+					sess.CommitSwap(ks[lane], ls[lane], totals[lane])
 					oracle.Swap(ks[lane], ls[lane])
 				case 1:
-					total := delta.TrySwap(si, sj)
-					delta.CommitSwap(si, sj, total)
-					full.CommitSwap(si, sj, total)
+					total := sess.TrySwap(si, sj)
+					sess.CommitSwap(si, sj, total)
 					oracle.Swap(si, sj)
 				case 2:
 					RandPermInto(rng, perm)
-					total := delta.TryAssign(perm)
-					delta.CommitAssign(perm, total)
-					full.CommitAssign(perm, total)
+					total := sess.TryAssign(perm)
+					sess.CommitAssign(perm, total)
 					copy(oracle.ProcOf, perm)
 				}
-				if want := e.TotalTime(oracle); delta.TotalTime() != want || full.TotalTime() != want {
-					t.Fatalf("%s seed %d round %d: committed totals delta %d full %d, evaluator says %d", sys.Name, seed, round, delta.TotalTime(), full.TotalTime(), want)
-				}
-				// The cached committed end times must mirror a fresh full
-				// evaluation of the incumbent, and the prefix maxima must
-				// be consistent with them.
-				e.fillEnds(oracle.ProcOf, freshEnds)
-				run := 0
-				for i, want := range freshEnds {
-					if delta.endC[i] != want {
-						t.Fatalf("%s seed %d round %d: endC[%d] = %d, fresh rebuild says %d", sys.Name, seed, round, i, delta.endC[i], want)
-					}
-					if want > run {
-						run = want
-					}
-					if delta.prefMax[i] != run {
-						t.Fatalf("%s seed %d round %d: prefMax[%d] = %d, want %d", sys.Name, seed, round, i, delta.prefMax[i], run)
-					}
-				}
-				run = 0
-				for i := len(freshEnds) - 1; i >= 0; i-- {
-					if freshEnds[i] > run {
-						run = freshEnds[i]
-					}
-					if delta.suffMax[i] != run {
-						t.Fatalf("%s seed %d round %d: suffMax[%d] = %d, want %d", sys.Name, seed, round, i, delta.suffMax[i], run)
-					}
-				}
-				// The cone mask must always be fully unwound between trials.
-				for i, m := range delta.mask {
-					if m != 0 {
-						t.Fatalf("%s seed %d round %d: mask[%d] = %b left set after the pass", sys.Name, seed, round, i, m)
-					}
+				if want := e.TotalTime(oracle); sess.TotalTime() != want {
+					t.Fatalf("%s seed %d round %d: committed total %d, evaluator says %d", sys.Name, seed, round, sess.TotalTime(), want)
 				}
 			}
 		}
 	}
 }
 
-// TestDeltaFallbackAtEveryBudget sweeps the cone budget from "always fall
-// back" to "never fall back": the totals of one fixed trial sequence must
-// not depend on where the fallback threshold sits.
-func TestDeltaFallbackAtEveryBudget(t *testing.T) {
-	e, a := benchInstance(t, topology.Mesh(4, 4), 23)
-	k := a.K()
-	budgets := []int{-1, 0, 1, 4, 16, 64, 256, 1 << 30}
-	sessions := make([]*SwapSession, len(budgets))
-	for i, b := range budgets {
-		sessions[i] = e.NewSwapSession(a)
-		sessions[i].coneBudget = b
-	}
-	rng := rand.New(rand.NewSource(29))
-	var ks, ls [SwapLanes]int
-	totals := make([][SwapLanes]int, len(budgets))
-	for round := 0; round < 80; round++ {
-		for l := 0; l < SwapLanes; l++ {
-			ks[l], ls[l] = RandSwapPair(rng, k)
-		}
-		for i, sess := range sessions {
-			sess.TrySwapBatch(&ks, &ls, &totals[i])
-		}
-		for i := 1; i < len(sessions); i++ {
-			if totals[i] != totals[0] {
-				t.Fatalf("round %d: budget %d totals %v differ from budget %d totals %v", round, budgets[i], totals[i], budgets[0], totals[0])
-			}
-		}
-		lane := round % SwapLanes
-		for i, sess := range sessions {
-			sess.CommitSwap(ks[lane], ls[lane], totals[i][lane])
-		}
-	}
-}
-
-// TestDeltaIdentityBatchPricesIncumbent pins the no-seed early exit: a
-// batch of identity lanes prices the committed incumbent in every lane.
+// TestDeltaIdentityBatchPricesIncumbent pins that a batch of identity
+// lanes prices the committed incumbent in every lane.
 func TestDeltaIdentityBatchPricesIncumbent(t *testing.T) {
 	e, a := benchInstance(t, topology.Hypercube(3), 11)
 	sess := e.NewSwapSession(a)

@@ -3,13 +3,12 @@
 // random-change refinement, pairwise exchange (§2.2/ref [1]), simulated
 // annealing (refs [3], [14]) — is a Refiner improving a committed
 // schedule.SwapSession under a trial Budget. All strategies price trials
-// through the session's batched swap kernel — which since the delta work
-// re-prices a swap's cone incrementally and replays already-priced pairs
-// from the session's pair table, transparently to refiners — so they share
-// one zero-allocation hot path and compete at an equal trial budget.
-// Budget accounting stays trial-based: a memoised or cone-priced trial
-// counts exactly like a fully evaluated one, so budgets and results are
-// independent of how a trial happened to be priced. The named registry
+// through the session's batched swap kernel — which replays already-priced
+// pairs from the session's pair table, transparently to refiners — so they
+// share one zero-allocation hot path and compete at an equal trial budget.
+// Budget accounting stays trial-based: a memoised trial counts exactly like
+// a fully evaluated one, so budgets and results are independent of how a
+// trial happened to be priced. The named registry
 // (RefinerByName) is the single source of truth for which strategies
 // exist, mirroring the clusterer registry.
 //

@@ -173,9 +173,11 @@ func (st *solveState) canonicalize(context.Context) error {
 // absent — SolveBatch and multi-start output are worker-count independent,
 // so concurrency knobs must not split cache entries.
 func canonicalKey(req *Request, seed int64) string {
-	// v2: the fingerprint gained the Options.Incumbent fold below — the
-	// domain tag is bumped per the stability contract in graph/fingerprint.go.
-	h := graph.NewHasher("mimdmap/request/v3")
+	// The domain tag is bumped per the stability contract in
+	// graph/fingerprint.go whenever the folded fields change: v2 added the
+	// Options.Incumbent fold, v3 the portfolio options, and v4 dropped the
+	// Options.Move fold along with the field.
+	h := graph.NewHasher("mimdmap/request/v4")
 	h.Fold(req.Problem.Fingerprint())
 	if req.System != nil {
 		h.Bool(true)
@@ -196,7 +198,6 @@ func canonicalKey(req *Request, seed int64) string {
 	o := &req.Options
 	h.Int(int(o.Propagation))
 	h.Int(o.MaxRefinements)
-	h.Int(int(o.Move))
 	h.Bool(o.DisableTermination)
 	h.Bool(o.RecordTrials)
 	h.Int(o.Starts)
