@@ -87,15 +87,17 @@ bench-remap:
 bench-replay:
 	$(GO) run ./cmd/mapbench -replaybench -bench-out BENCH_serve.json -bench-label "$(BENCH_LABEL)"
 
-# Fast benchmark gate for CI: the Go refinement benchmarks at a short
-# benchtime plus one quick pass of each harness (refinement kernel, the
-# per-refiner search benchmark — which covers every registered strategy,
-# portfolio included — the cold-vs-warm serving benchmark and the
-# warm-start remapping benchmark), so none can rot unnoticed. The Table 1
-# portfolio run additionally smokes the multi-start lockstep path (elite
-# exchange across chains), which the single-chain searchbench cannot reach.
+# Fast benchmark gate for CI: the Go refinement and problem-parse
+# benchmarks at a short benchtime plus one quick pass of each harness
+# (refinement kernel, the per-refiner search benchmark — which covers
+# every registered strategy, portfolio included — the cold-vs-warm
+# serving benchmark and the warm-start remapping benchmark), so none can
+# rot unnoticed. The Table 1 portfolio run additionally smokes the
+# multi-start lockstep path (elite exchange across chains), which the
+# single-chain searchbench cannot reach.
 bench-smoke:
 	$(GO) test -bench Refine -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -bench ReadProblem -benchtime 10x -run '^$$' ./internal/graph/
 	$(GO) run ./cmd/mapbench -refinebench -bench-quick
 	$(GO) run ./cmd/mapbench -searchbench -bench-quick
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null
@@ -104,11 +106,12 @@ bench-smoke:
 	$(GO) run ./cmd/mapbench -replaybench -bench-quick
 
 # Short fuzzing pass so the checked-in fuzzers actually run in CI instead
-# of only replaying their corpus seeds: ~10s each on the text-format
-# parser and the server's request decoding/solve, remap and fleet
-# forwarding paths.
+# of only replaying their corpus seeds: ~10s each on the problem and
+# system text-format parsers and the server's request decoding/solve,
+# remap and fleet forwarding paths.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSystem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/

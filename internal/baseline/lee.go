@@ -67,7 +67,7 @@ func CommCost(e *schedule.Evaluator, phases [][][2]int, a *schedule.Assignment) 
 			d := e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
 			// Phases hold only inter-cluster edges, whose clustered
 			// weight is the problem edge weight.
-			if c := e.Prob.Edge[j][i] * d; c > maxCost {
+			if c := e.Prob.Weight(j, i) * d; c > maxCost {
 				maxCost = c
 			}
 		}

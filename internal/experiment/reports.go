@@ -160,7 +160,7 @@ func CommCostReport() (string, error) {
 	for i, phase := range phases {
 		fmt.Fprintf(&b, "  phase %d:", i+1)
 		for _, edge := range phase {
-			fmt.Fprintf(&b, " (%d,%d)=%d", edge[0], edge[1], ex.Prob.Edge[edge[0]][edge[1]])
+			fmt.Fprintf(&b, " (%d,%d)=%d", edge[0], edge[1], ex.Prob.Weight(edge[0], edge[1]))
 		}
 		b.WriteByte('\n')
 	}

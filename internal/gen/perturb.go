@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mimdmap/internal/graph"
 )
@@ -124,44 +125,48 @@ func Perturb(inst Instance, spec PerturbSpec, seed int64) (Instance, error) {
 }
 
 func perturbProblem(p *graph.Problem, sp *PerturbSpec, rng *rand.Rand) *graph.Problem {
-	// q and out are fresh problems nothing has queried yet, so writing
-	// their Edge cells directly respects the graph freeze-point contract;
-	// out freezes at Perturb's Validate.
-	q := p.Clone()
-	// Resize and reweight draw on the original shape so the decision
-	// stream never depends on the shrink/grow bookkeeping below.
-	for i := range q.Size {
+	// Resize and reweight draw on the original shape, tasks and then edges
+	// in row-major order, so the decision stream never depends on the
+	// shrink/grow bookkeeping below. out freezes at Perturb's Validate.
+	keep := p.NumTasks() - sp.ShrinkTasks
+	n := keep + sp.GrowTasks
+	out := graph.NewProblem(n)
+	for i, size := range p.Size {
 		if sp.ResizeTasks > 0 && rng.Float64() < sp.ResizeTasks {
-			q.Size[i] = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
+			size = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
+		}
+		if i < keep {
+			out.Size[i] = size
 		}
 	}
-	for i := range q.Edge {
-		for j := range q.Edge[i] {
-			if q.Edge[i][j] > 0 && sp.ReweightEdges > 0 && rng.Float64() < sp.ReweightEdges {
-				q.Edge[i][j] = uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight)
+	for i := range p.Size {
+		ws := p.SuccWeights(i)
+		for k, j := range p.Succs(i) {
+			w := ws[k]
+			if sp.ReweightEdges > 0 && rng.Float64() < sp.ReweightEdges {
+				w = uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight)
+			}
+			if i < keep && j < keep {
+				out.SetEdge(i, j, w)
 			}
 		}
 	}
-	keep := q.NumTasks() - sp.ShrinkTasks
-	n := keep + sp.GrowTasks
-	out := graph.NewProblem(n)
-	copy(out.Size, q.Size[:keep])
-	for i := 0; i < keep; i++ {
-		copy(out.Edge[i][:keep], q.Edge[i][:keep])
-	}
 	// Grown tasks append to the ID range and draw only predecessors, so
 	// they extend every topological order without creating cycles.
+	drawn := make([]int, 0, sp.MaxNewEdges)
 	for t := keep; t < n; t++ {
 		out.Size[t] = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
 		preds := 1 + rng.Intn(sp.MaxNewEdges)
 		if preds > t {
 			preds = t
 		}
+		drawn = drawn[:0]
 		for e := 0; e < preds; e++ {
 			src := rng.Intn(t)
-			if out.Edge[src][t] > 0 {
+			if slices.Contains(drawn, src) {
 				continue // duplicate draw: fewer edges, never a reroll loop
 			}
+			drawn = append(drawn, src)
 			out.SetEdge(src, t, uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight))
 		}
 	}

@@ -18,7 +18,8 @@ import "fmt"
 // of the old instance corresponds to task i of the new one while both
 // exist; growth appends IDs, shrinkage drops them. This is exactly how
 // evolving workloads are produced (gen.Perturb follows the same
-// convention) and keeps the diff O(n²) with no graph-isomorphism search.
+// convention) and keeps the problem diff O(n + e) — one merge walk over
+// each pair of sorted successor rows — with no graph-isomorphism search.
 // Instances that renumber their tasks diff as heavily changed and simply
 // fall back to a cold solve — a quality decision, never a correctness one.
 
@@ -72,27 +73,33 @@ func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 			d.TasksResized++
 		}
 	}
-	// Walk each side's edge lists and probe the other side's matrix cell.
+	// Rows of tasks only one side has hold only added or removed edges;
+	// the common rows merge their sorted successor lists.
 	oldEdges, newEdges := oldP.NumEdges(), newP.NumEdges()
-	for i := 0; i < oldNP; i++ {
-		for _, j := range oldP.Succs(i) {
-			if i >= common || j >= common || newP.Edge[i][j] <= 0 {
-				d.EdgesRemoved++
-			}
-		}
+	for i := common; i < oldNP; i++ {
+		d.EdgesRemoved += oldP.OutDegree(i)
 	}
-	for i := 0; i < newNP; i++ {
-		ws := newP.SuccWeights(i)
-		for k, j := range newP.Succs(i) {
-			if i >= common || j >= common {
+	for i := common; i < newNP; i++ {
+		d.EdgesAdded += newP.OutDegree(i)
+	}
+	for i := 0; i < common; i++ {
+		oj, ow := oldP.Succs(i), oldP.SuccWeights(i)
+		nj, nw := newP.Succs(i), newP.SuccWeights(i)
+		a, b := 0, 0
+		for a < len(oj) || b < len(nj) {
+			switch {
+			case b == len(nj) || a < len(oj) && oj[a] < nj[b]:
+				d.EdgesRemoved++
+				a++
+			case a == len(oj) || nj[b] < oj[a]:
 				d.EdgesAdded++
-				continue
-			}
-			switch ow := oldP.Edge[i][j]; {
-			case ow <= 0:
-				d.EdgesAdded++
-			case ow != ws[k]:
-				d.EdgesReweighted++
+				b++
+			default:
+				if ow[a] != nw[b] {
+					d.EdgesReweighted++
+				}
+				a++
+				b++
 			}
 		}
 	}

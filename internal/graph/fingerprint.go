@@ -24,24 +24,27 @@ import (
 //
 // Fingerprints memoize: the first call hashes the structure, repeats return
 // the stored digest (the serving hot path fingerprints the same graphs on
-// every request — rehashing an np×np edge matrix per cache hit dominated
-// the warm path before memoization).
+// every request — rehashing the whole edge set per cache hit dominated the
+// warm path before memoization).
 //
 // Freeze-point contract. A Problem carries two memos: its fingerprint and
 // its sparse view (successor/predecessor lists, topological order and
-// validation verdict; see sparse.go). The first structural query —
-// Validate, TopoOrder, Preds/Succs/degrees, NumEdges, EdgeList,
-// Fingerprint, or any analysis (ideal.Derive, critical.Analyze,
-// schedule.NewEvaluator, core.New) handed the problem — is the freeze
-// point. After it:
+// validation verdict; see sparse.go). ReadProblem returns a problem
+// already frozen, built from its edge lines, with no Edge buffer. For a
+// problem authored through NewProblem and SetEdge, the first structural
+// query — Validate, TopoOrder, Preds/Succs/degrees, Weight, NumEdges,
+// EdgeList, Equal, Fingerprint, or any analysis (ideal.Derive,
+// critical.Analyze, schedule.NewEvaluator, core.New) handed the problem —
+// is the freeze point. After it:
 //
 //   - SetEdge is the only supported mutation: it writes the cell and drops
-//     both memos, so the next query rebuilds them (one O(n²) pass).
+//     both memos, so the next query rebuilds them (one O(n²) pass; on a
+//     parsed problem SetEdge first expands the view into the Edge buffer).
 //     Interleaving SetEdge with structural queries therefore costs a full
 //     rebuild per query; builders track what they need themselves.
 //   - Writing Edge or Size directly is not seen by the memos and is a
-//     contract violation. Builders, parsers and generators write cells
-//     directly only on a problem nothing has queried yet.
+//     contract violation. Builders and generators write cells directly
+//     only on a problem nothing has queried yet.
 //   - System and Clustering have no mutation hooks: they must not change
 //     at all after their first Fingerprint.
 //
@@ -161,8 +164,9 @@ func (p *Problem) Fingerprint() Fingerprint {
 }
 
 func (p *Problem) fingerprint() Fingerprint {
-	// The successor CSR lists the positive cells of Edge in row-major
-	// order, which is exactly the order the encoding has always used.
+	// The successor CSR lists the edges in row-major order of the
+	// np×np prob_edge matrix, which is exactly the order the encoding
+	// has always used, whichever builder produced the view.
 	s := p.frozen()
 	h := NewHasher("mimdmap/problem/v1")
 	h.Ints(p.Size)

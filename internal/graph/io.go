@@ -2,10 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // The text format shared by the cmd/ tools is line-oriented:
@@ -22,10 +23,12 @@ import (
 //	assign <task> <cluster>
 //
 // Unknown directives are errors; blank lines and #-comments are skipped.
-// Header sizes are bounded by MaxTextNodes: the dense n×n structures behind
-// a problem or system make larger graphs impractical anyway, and the bound
-// keeps a hostile few-byte header ("problem 99999999") from allocating
-// gigabytes before validation can reject it.
+// Header sizes are bounded by MaxTextNodes. A problem is parsed straight
+// into its sparse view, so it costs O(np + edge lines) memory at any
+// header size; a system still allocates an ns×ns adjacency matrix (256 MiB
+// of bools for "system 16384"), and the bound keeps a hostile few-byte
+// header ("system 99999999") from allocating more before validation can
+// reject it.
 
 // MaxTextNodes bounds the declared size of any graph read from the text
 // format — tasks of a problem, nodes of a system, tasks of a clustering.
@@ -84,10 +87,17 @@ func WriteClustering(w io.Writer, c *Clustering) error {
 }
 
 // ReadProblem parses a problem graph from the text format and validates it.
+// It collects the edge lines and builds the frozen sparse view from them
+// directly, so memory is O(np + edge lines) and the returned problem has
+// no Edge buffer. A cell written by several lines takes the last one, as
+// if each line were written into an np×np matrix.
 func ReadProblem(r io.Reader) (*Problem, error) {
-	var p *Problem
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	var (
+		p     *Problem
+		edges []edgeLine
+	)
+	err := scanLines(r, func(line int, fields [][]byte) error {
+		switch string(fields[0]) {
 		case "problem":
 			n, err := atoiField(fields, 1, "problem size")
 			if err != nil {
@@ -96,7 +106,8 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 			if err := headerSize(n, "problem size"); err != nil {
 				return err
 			}
-			p = NewProblem(n)
+			p = &Problem{Size: make([]int, n)}
+			edges = edges[:0]
 		case "task":
 			if p == nil {
 				return fmt.Errorf("task before problem header")
@@ -132,7 +143,7 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 			if src < 0 || src >= p.NumTasks() || dst < 0 || dst >= p.NumTasks() {
 				return fmt.Errorf("edge %d→%d out of range", src, dst)
 			}
-			p.Edge[src][dst] = w // p is unfrozen until the Validate below
+			edges = append(edges, edgeLine{src, dst, w})
 		default:
 			return fmt.Errorf("unknown directive %q", fields[0])
 		}
@@ -144,17 +155,19 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 	if p == nil {
 		return nil, fmt.Errorf("graph: input contains no problem header")
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	s := buildSparseLines(p.Size, edges)
+	if s.err != nil {
+		return nil, s.err
 	}
+	p.view.Store(s)
 	return p, nil
 }
 
 // ReadSystem parses a system graph from the text format and validates it.
 func ReadSystem(r io.Reader) (*System, error) {
 	var s *System
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	err := scanLines(r, func(line int, fields [][]byte) error {
+		switch string(fields[0]) {
 		case "system":
 			n, err := atoiField(fields, 1, "system size")
 			if err != nil {
@@ -165,7 +178,7 @@ func ReadSystem(r io.Reader) (*System, error) {
 			}
 			s = NewSystem(n)
 			if len(fields) > 2 {
-				s.Name = strings.Join(fields[2:], " ")
+				s.Name = string(bytes.Join(fields[2:], []byte(" ")))
 			}
 		case "link":
 			if s == nil {
@@ -203,8 +216,8 @@ func ReadSystem(r io.Reader) (*System, error) {
 // ReadClustering parses a clustering from the text format and validates it.
 func ReadClustering(r io.Reader) (*Clustering, error) {
 	var c *Clustering
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	err := scanLines(r, func(line int, fields [][]byte) error {
+		switch string(fields[0]) {
 		case "clustering":
 			n, err := atoiField(fields, 1, "clustering size")
 			if err != nil {
@@ -254,28 +267,65 @@ func ReadClustering(r io.Reader) (*Clustering, error) {
 	return c, nil
 }
 
-func scanLines(r io.Reader, handle func(line int, fields []string) error) error {
+// scanLines calls handle with the whitespace-separated fields of every
+// line that is neither blank nor a #-comment. The fields alias the
+// scanner's buffer and a slice reused across lines, so handle must copy
+// any bytes it keeps; an ASCII line costs no allocation.
+func scanLines(r io.Reader, handle func(line int, fields [][]byte) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var fields [][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		if err := handle(line, strings.Fields(text)); err != nil {
+		fields = splitFields(fields[:0], text)
+		if err := handle(line, fields); err != nil {
 			return fmt.Errorf("graph: line %d: %w", line, err)
 		}
 	}
 	return sc.Err()
 }
 
-func atoiField(fields []string, idx int, what string) (int, error) {
+// splitFields appends the fields of text to dst, splitting on ASCII
+// whitespace; a line with any non-ASCII byte goes through bytes.Fields, so
+// Unicode spaces separate fields exactly as there.
+func splitFields(dst [][]byte, text []byte) [][]byte {
+	for _, c := range text {
+		if c >= utf8.RuneSelf {
+			return append(dst, bytes.Fields(text)...)
+		}
+	}
+	start := -1
+	for i, c := range text {
+		if asciiSpace(c) {
+			if start >= 0 {
+				dst = append(dst, text[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, text[start:])
+	}
+	return dst
+}
+
+// asciiSpace reports the ASCII bytes unicode.IsSpace accepts.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+func atoiField(fields [][]byte, idx int, what string) (int, error) {
 	if idx >= len(fields) {
 		return 0, fmt.Errorf("missing %s", what)
 	}
-	n, err := strconv.Atoi(fields[idx])
+	n, err := strconv.Atoi(string(fields[idx]))
 	if err != nil {
 		return 0, fmt.Errorf("bad %s %q", what, fields[idx])
 	}

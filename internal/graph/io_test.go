@@ -76,8 +76,40 @@ edge 0 1 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size[0] != 3 || p.Size[1] != 4 || p.Edge[0][1] != 2 {
+	if p.Size[0] != 3 || p.Size[1] != 4 || p.Weight(0, 1) != 2 {
 		t.Fatalf("parsed wrong problem: %+v", p)
+	}
+}
+
+// TestParsedProblemCloneAndSetEdge: a parsed problem has no Edge buffer;
+// its clone shares the frozen view, and SetEdge on the clone expands the
+// view into a matrix without touching the original.
+func TestParsedProblemCloneAndSetEdge(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteProblem(&buf, diamond()); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadProblem(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Edge != nil {
+		t.Fatal("ReadProblem allocated an Edge buffer")
+	}
+	if !p.HasEdge(1, 3) || p.HasEdge(3, 1) || p.Weight(1, 3) != 4 || p.Weight(0, 3) != 0 {
+		t.Fatalf("parsed diamond edges wrong: %v", p.EdgeList())
+	}
+	before := p.Fingerprint()
+	q := p.Clone()
+	if !q.Equal(p) || q.Fingerprint() != before || &q.Size[0] == &p.Size[0] {
+		t.Fatal("clone of a parsed problem is not an equal deep copy")
+	}
+	q.SetEdge(0, 3, 9)
+	if p.Edge != nil || p.Weight(0, 3) != 0 || p.Fingerprint() != before {
+		t.Fatal("SetEdge on the clone changed the original")
+	}
+	if q.Weight(0, 3) != 9 || q.Weight(1, 3) != 4 || q.NumEdges() != 5 || p.Equal(q) {
+		t.Fatalf("SetEdge on a parsed clone: edges %v", q.EdgeList())
 	}
 }
 

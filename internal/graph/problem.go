@@ -15,21 +15,26 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 )
 
 // Problem is a problem graph Gp: a directed acyclic graph whose nodes are
 // tasks with execution-time weights and whose edges carry communication-time
-// weights. Edge[i][j] > 0 means task i must complete before task j starts
-// and sends a message of cost Edge[i][j] (per system edge traversed).
+// weights. Weight(i, j) > 0 means task i must complete before task j
+// starts and sends a message of cost Weight(i, j) (per system edge
+// traversed).
 //
-// Edge is the authoring and input form. The first call that needs the
-// graph's structure — Validate, TopoOrder, Preds, Fingerprint and the other
+// Every query reads a frozen sparse view (successor and predecessor lists,
+// topological order, validation verdict). ReadProblem builds the view
+// straight from the parsed edge lines, in O(n + e), and leaves Edge nil.
+// A problem authored with NewProblem and SetEdge keeps its edges in the
+// dense Edge buffer until the first call that needs the graph's structure
+// — Validate, TopoOrder, Preds, Weight, Fingerprint and the other
 // structural queries, or any analysis handed the problem — freezes it into
-// a sparse view (successor and predecessor lists, topological order,
-// validation verdict) that every later call shares. Write edges with
-// SetEdge, which drops the view; writing Edge directly is only allowed
-// before the first freeze. See the freeze-point contract in fingerprint.go.
+// the view that every later call shares. Write edges with SetEdge, which
+// drops the view; writing Edge directly is only allowed before the first
+// freeze. See the freeze-point contract in fingerprint.go.
 //
 // The zero value is an empty graph with no tasks; use NewProblem to allocate
 // a graph of a given size.
@@ -37,9 +42,11 @@ type Problem struct {
 	// Size holds the execution time of each task. len(Size) is the number
 	// of tasks np.
 	Size []int
-	// Edge is the np×np problem edge matrix prob_edge of the paper.
-	// Edge[i][j] is the communication weight of the precedence edge i→j,
-	// or 0 if there is no edge.
+	// Edge is the authoring buffer for the np×np problem edge matrix
+	// prob_edge of the paper: Edge[i][j] is the communication weight of
+	// the precedence edge i→j, or 0 if there is no edge. NewProblem
+	// allocates it and SetEdge writes it; it is nil on a problem that
+	// ReadProblem returned. Read edges with Weight, Succs or Preds.
 	Edge [][]int
 
 	// view memoizes the frozen sparse form and fp memoizes Fingerprint;
@@ -52,15 +59,17 @@ type Problem struct {
 // NewProblem returns a problem graph with n tasks, no edges, and all task
 // sizes zero.
 func NewProblem(n int) *Problem {
-	p := &Problem{
-		Size: make([]int, n),
-		Edge: make([][]int, n),
-	}
+	return &Problem{Size: make([]int, n), Edge: newMatrix(n)}
+}
+
+// newMatrix allocates a zeroed n×n matrix backed by one array.
+func newMatrix(n int) [][]int {
+	m := make([][]int, n)
 	cells := make([]int, n*n)
-	for i := range p.Edge {
-		p.Edge[i], cells = cells[:n:n], cells[n:]
+	for i := range m {
+		m[i], cells = cells[:n:n], cells[n:]
 	}
-	return p
+	return m
 }
 
 // NumTasks returns np, the number of tasks.
@@ -68,16 +77,36 @@ func (p *Problem) NumTasks() int { return len(p.Size) }
 
 // SetEdge records the precedence edge i→j with communication weight w and
 // drops the frozen view and fingerprint, so the next structural query sees
-// the change. It panics if i or j is out of range; use Validate to detect
-// semantic problems such as cycles or non-positive weights.
+// the change. On a problem with no Edge buffer (one ReadProblem returned,
+// or a clone of one) it first expands the view into the np×np matrix:
+// O(n²) time and memory, meant for authoring only. It panics if i or j is
+// out of range; use Validate to detect semantic problems such as cycles or
+// non-positive weights.
 func (p *Problem) SetEdge(i, j, w int) {
+	if p.Edge == nil {
+		if s := p.view.Load(); s != nil {
+			p.Edge = s.dense()
+		}
+	}
 	p.Edge[i][j] = w
 	p.view.Store(nil)
 	p.fp.reset()
 }
 
 // HasEdge reports whether the precedence edge i→j exists.
-func (p *Problem) HasEdge(i, j int) bool { return p.Edge[i][j] > 0 }
+func (p *Problem) HasEdge(i, j int) bool { return p.Weight(i, j) > 0 }
+
+// Weight returns the communication weight of the precedence edge i→j, or
+// 0 if there is none: a binary search in task i's successor row. It panics
+// if i is out of range.
+func (p *Problem) Weight(i, j int) int {
+	s := p.frozen()
+	lo, hi := s.succOff[i], s.succOff[i+1]
+	if k, ok := slices.BinarySearch(s.succ[lo:hi], j); ok {
+		return s.succW[lo+k]
+	}
+	return 0
+}
 
 // NumEdges returns the number of precedence edges.
 func (p *Problem) NumEdges() int { return len(p.frozen().succ) }
@@ -144,8 +173,18 @@ func (p *Problem) TotalComm() int {
 	return w
 }
 
-// Clone returns a deep copy of the problem graph.
+// Clone returns a deep copy of the problem graph. A problem with no Edge
+// buffer (one ReadProblem returned) clones to a copy of its task sizes
+// that shares its immutable frozen view.
 func (p *Problem) Clone() *Problem {
+	if p.Edge == nil {
+		if s := p.view.Load(); s != nil {
+			q := &Problem{Size: make([]int, len(p.Size))}
+			copy(q.Size, p.Size)
+			q.view.Store(s)
+			return q
+		}
+	}
 	q := NewProblem(p.NumTasks())
 	copy(q.Size, p.Size)
 	for i := range p.Edge {
@@ -154,25 +193,20 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
-// Equal reports whether two problem graphs have identical task sizes and
-// edge matrices.
+// Equal reports whether two problem graphs have identical task sizes,
+// edges and Validate verdicts. It compares the frozen views.
 func (p *Problem) Equal(q *Problem) bool {
-	if p.NumTasks() != q.NumTasks() {
+	if !slices.Equal(p.Size, q.Size) {
 		return false
 	}
-	for i, s := range p.Size {
-		if q.Size[i] != s {
-			return false
-		}
+	a, b := p.frozen(), q.frozen()
+	if !slices.Equal(a.succOff, b.succOff) || !slices.Equal(a.succ, b.succ) || !slices.Equal(a.succW, b.succW) {
+		return false
 	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] != q.Edge[i][j] {
-				return false
-			}
-		}
+	if a.err == nil || b.err == nil {
+		return a.err == b.err
 	}
-	return true
+	return a.err.Error() == b.err.Error()
 }
 
 // ErrCyclic is returned by Validate and TopoOrder when the problem graph

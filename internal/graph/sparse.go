@@ -4,17 +4,19 @@ import "fmt"
 
 // sparse is the frozen sparse view of a Problem: successor and predecessor
 // lists in CSR form, the Kahn topological order and the Validate verdict.
-// One row-major pass over Edge builds it at the freeze point — the first
-// call that needs the graph's structure — and every later phase (§4.1
+// ReadProblem builds it from the parsed edge lines; for an authored
+// problem one row-major pass over Edge builds it at the freeze point — the
+// first call that needs the graph's structure. Every later phase (§4.1
 // ideal graph, §4.2 critical walk, §4.3 evaluation, fingerprinting) reads
-// it instead of rescanning the n×n matrix. It is immutable once built.
+// it instead of an n×n matrix. It is immutable once built.
 type sparse struct {
 	err     error // Validate's verdict
 	topoErr error // TopoOrder's verdict: nil, ErrCyclic or the shape error
 
-	// Successor CSR, one row per Edge row (even when Edge is not n×n, so
-	// Fingerprint covers every positive cell): row i holds the targets of
-	// the positive cells Edge[i][j] in ascending j and their weights.
+	// Successor CSR, one row per task — per Edge row for an authored
+	// problem, even when Edge is not n×n, so Fingerprint covers every
+	// positive cell: row i holds the targets j of the edges i→j with
+	// positive weight, ascending, and their weights.
 	succOff []int
 	succ    []int
 	succW   []int
@@ -82,6 +84,16 @@ func buildSparse(size []int, edge [][]int) *sparse {
 		s.topoErr = s.err
 		return s
 	}
+	s.finish(indeg)
+	return s
+}
+
+// finish completes a view whose successor CSR is built: the predecessor
+// CSR and the Kahn order. indeg holds every task's in-degree and is
+// consumed as scratch. Both the edge-matrix freeze and the parser's
+// edge-list builder end here.
+func (s *sparse) finish(indeg []int) {
+	n := len(indeg)
 
 	// Predecessor CSR: walking the successor rows in ascending source
 	// order fills every predecessor list already sorted.
@@ -132,10 +144,21 @@ func buildSparse(size []int, edge [][]int) *sparse {
 		if s.err == nil {
 			s.err = ErrCyclic
 		}
-		return s
+		return
 	}
 	s.order = order
-	return s
+}
+
+// dense expands the successor CSR into an edge matrix, one row per row of
+// the view.
+func (s *sparse) dense() [][]int {
+	m := newMatrix(len(s.succOff) - 1)
+	for i, row := range m {
+		for k := s.succOff[i]; k < s.succOff[i+1]; k++ {
+			row[s.succ[k]] = s.succW[k]
+		}
+	}
+	return m
 }
 
 // matrixShapeErr reports an edge matrix that is not n×n.
@@ -188,5 +211,81 @@ func siftDown(h []int) {
 		}
 		h[parent], h[c] = h[c], h[parent]
 		parent = c
+	}
+}
+
+// edgeLine is one "edge src dst w" line of the text format.
+type edgeLine struct{ src, dst, w int }
+
+// buildSparseLines builds the view of an n-task problem straight from its
+// edge lines, in O(n + e) time and memory, with the semantics of writing
+// each line into an n×n matrix: a cell's last line sets it, weight 0 is
+// no edge, and the self-loop and negative-weight checks see the final
+// cells in row-major order. It reorders lines in place.
+func buildSparseLines(size []int, lines []edgeLine) *sparse {
+	n := len(size)
+	// Two stable counting sorts, by destination and then by source, put
+	// the lines in row-major cell order with each cell's lines in input
+	// order, so a cell's last line ends its run.
+	cnt := make([]int, n+1)
+	tmp := make([]edgeLine, len(lines))
+	countingSort(tmp, lines, cnt, false)
+	countingSort(lines, tmp, cnt, true)
+
+	s := &sparse{
+		succOff: make([]int, n+1),
+		succ:    make([]int, 0, len(lines)),
+		succW:   make([]int, 0, len(lines)),
+	}
+	s.err = sizeErr(size)
+	indeg := cnt[:n]
+	clear(indeg)
+	var edgeErr error
+	for k, e := range lines {
+		if k+1 < len(lines) && lines[k+1].src == e.src && lines[k+1].dst == e.dst {
+			continue // a later line overwrites this cell
+		}
+		if e.w > 0 {
+			s.succ = append(s.succ, e.dst)
+			s.succW = append(s.succW, e.w)
+			s.succOff[e.src+1]++
+			indeg[e.dst]++
+			if e.src == e.dst && edgeErr == nil {
+				edgeErr = fmt.Errorf("graph: task %d has a self-loop", e.src)
+			}
+		} else if e.w < 0 && edgeErr == nil {
+			edgeErr = fmt.Errorf("graph: edge %d→%d has negative weight %d", e.src, e.dst, e.w)
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.succOff[i+1] += s.succOff[i]
+	}
+	if s.err == nil {
+		s.err = edgeErr
+	}
+	s.finish(indeg)
+	return s
+}
+
+// countingSort stably copies src into dst ordered by source task (bySrc)
+// or by destination task, using cnt (len n+1) as scratch.
+func countingSort(dst, src []edgeLine, cnt []int, bySrc bool) {
+	clear(cnt)
+	key := func(e edgeLine) int {
+		if bySrc {
+			return e.src
+		}
+		return e.dst
+	}
+	for _, e := range src {
+		cnt[key(e)+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[cnt[k]] = e
+		cnt[k]++
 	}
 }

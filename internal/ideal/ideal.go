@@ -85,7 +85,7 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 // clusWeight returns clus_edge[j][i] (0 when j→i is not a problem edge or
 // is intra-cluster).
 func (g *Graph) clusWeight(j, i int) int {
-	return g.clus.ClusteredWeight(j, i, g.prob.Edge[j][i])
+	return g.clus.ClusteredWeight(j, i, g.prob.Weight(j, i))
 }
 
 // Edge returns the ideal edge weight i_edge[j][i] = Start[i] − End[j] of a

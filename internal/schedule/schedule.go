@@ -239,7 +239,7 @@ func (e *Evaluator) Fork() *Evaluator {
 // assignment a: comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)]
 // (Algorithm I of §4.3.4). Intra-cluster and absent edges give zero.
 func (e *Evaluator) Comm(a *Assignment, j, i int) int {
-	w := e.Clus.ClusteredWeight(j, i, e.Prob.Edge[j][i])
+	w := e.Clus.ClusteredWeight(j, i, e.Prob.Weight(j, i))
 	if w <= 0 {
 		return 0
 	}
