@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"mimdmap"
+	"mimdmap/internal/fleet"
+	"mimdmap/internal/service"
 )
 
 // forwardRequest is the wire form of POST /fleet/solve: a solveRequest
@@ -158,7 +160,7 @@ const forwardErrBody = 512
 // error, which the pipeline counts and converts into a local solve, so a
 // mid-restart fleet degrades to independent replicas instead of failing
 // requests.
-func newForwardHook(ring *mimdmap.FleetRing, client *http.Client) mimdmap.ForwardFunc {
+func newForwardHook(ring *fleet.Ring, client *http.Client) service.ForwardFunc {
 	if client == nil {
 		client = &http.Client{}
 	}

@@ -97,6 +97,7 @@ import (
 	"time"
 
 	"mimdmap"
+	"mimdmap/internal/fleet"
 )
 
 // errUsage signals that the flag package already printed the parse error
@@ -338,11 +339,11 @@ func strategyDocs(names []string, doc func(string) string) map[string]string {
 // coalescing counters, the job store's, admission control, per-endpoint
 // latency histograms, and — in fleet mode — the fleet section.
 type statsResponse struct {
-	Cache     mimdmap.SolverStats                  `json:"cache"`
-	Jobs      jobCounters                          `json:"jobs"`
-	Admission mimdmap.AdmissionStats               `json:"admission"`
-	Latency   map[string]mimdmap.HistogramSnapshot `json:"latency"`
-	Fleet     *fleetStats                          `json:"fleet,omitempty"`
+	Cache     mimdmap.SolverStats                `json:"cache"`
+	Jobs      jobCounters                        `json:"jobs"`
+	Admission fleet.AdmissionStats               `json:"admission"`
+	Latency   map[string]fleet.HistogramSnapshot `json:"latency"`
+	Fleet     *fleetStats                        `json:"fleet,omitempty"`
 }
 
 // serverConfig carries the handler's bounds; zero job fields get the
@@ -381,8 +382,8 @@ type serverConfig struct {
 type server struct {
 	solver    *mimdmap.Solver
 	jobs      *jobStore
-	admission *mimdmap.Admission
-	ring      *mimdmap.FleetRing // nil in single-process mode
+	admission *fleet.Admission
+	ring      *fleet.Ring // nil in single-process mode
 	metrics   *endpointMetrics
 	handler   http.Handler
 }
@@ -405,12 +406,12 @@ func newServer(ctx context.Context, solver *mimdmap.Solver, cfg serverConfig) (*
 	}
 	s := &server{
 		solver:    solver,
-		admission: mimdmap.NewAdmission(cfg.limit, queue, queueWait, cfg.clock),
+		admission: fleet.NewAdmission(cfg.limit, queue, queueWait, cfg.clock),
 		metrics:   newEndpointMetrics(cfg.clock),
 	}
 	solver.Admission = s.admission
 	if len(cfg.peers) > 0 {
-		ring, err := mimdmap.NewFleetRing(cfg.self, cfg.peers)
+		ring, err := fleet.NewRing(cfg.self, cfg.peers)
 		if err != nil {
 			return nil, err
 		}
@@ -602,7 +603,7 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, verr.Error())
 		return
 	}
-	if errors.Is(err, mimdmap.ErrSaturated) {
+	if errors.Is(err, fleet.ErrSaturated) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.admission.RetryAfter().Seconds())))
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -615,12 +616,11 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 }
 
 // endpointMetrics records per-endpoint request latencies into fixed-bucket
-// histograms, read back by GET /stats and the replay harness. Histograms
-// are created up front for a fixed endpoint set, so wrap and snapshot
-// never take a lock.
+// histograms, read back by GET /stats. Histograms are created up front for
+// a fixed endpoint set, so wrap and snapshot never take a lock.
 type endpointMetrics struct {
 	clock func() time.Time
-	hists map[string]*mimdmap.Histogram
+	hists map[string]*fleet.Histogram
 }
 
 // endpointNames is the fixed set of instrumented endpoints.
@@ -630,9 +630,9 @@ func newEndpointMetrics(clock func() time.Time) *endpointMetrics {
 	if clock == nil {
 		clock = time.Now
 	}
-	m := &endpointMetrics{clock: clock, hists: make(map[string]*mimdmap.Histogram, len(endpointNames))}
+	m := &endpointMetrics{clock: clock, hists: make(map[string]*fleet.Histogram, len(endpointNames))}
 	for _, name := range endpointNames {
-		m.hists[name] = &mimdmap.Histogram{}
+		m.hists[name] = &fleet.Histogram{}
 	}
 	return m
 }
@@ -649,8 +649,8 @@ func (m *endpointMetrics) wrap(name string, h http.HandlerFunc) http.HandlerFunc
 
 // snapshot reads every endpoint's histogram (JSON maps serialize sorted by
 // key, so /stats bodies stay deterministically ordered).
-func (m *endpointMetrics) snapshot() map[string]mimdmap.HistogramSnapshot {
-	out := make(map[string]mimdmap.HistogramSnapshot, len(m.hists))
+func (m *endpointMetrics) snapshot() map[string]fleet.HistogramSnapshot {
+	out := make(map[string]fleet.HistogramSnapshot, len(m.hists))
 	for name, h := range m.hists {
 		out[name] = h.Snapshot()
 	}

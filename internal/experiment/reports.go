@@ -224,7 +224,7 @@ func renderSchedule(title string, e *schedule.Evaluator, ex *Example, a *schedul
 		textplot.Gantt(res, ex.Clus.Of, a.ProcOf, ex.Sys.NumNodes()) + "\n"
 }
 
-// AblationReport runs the DESIGN.md ablations E8–E10 over the Table 2
+// AblationReport runs the ablations E8–E10 over the Table 2
 // workload (meshes), which has the most termination-condition activity:
 //
 //	E8  random-change refinement (paper) vs pairwise-exchange refinement
@@ -233,7 +233,7 @@ func renderSchedule(title string, e *schedule.Evaluator, ex *Example, a *schedul
 func AblationReport(cfg Config) (string, error) {
 	cfg.defaults()
 	var b strings.Builder
-	b.WriteString("=== Ablations (DESIGN.md E8-E10) ===\n")
+	b.WriteString("=== Ablations (E8-E10) ===\n")
 
 	instances, err := MeshInstances(cfg)
 	if err != nil {

@@ -1,7 +1,7 @@
 package schedule
 
 // Contention-aware evaluation — an extension beyond the paper, used only by
-// ablation experiment E10 (see DESIGN.md §5).
+// ablation experiment E10 (see experiment.AblationReport).
 //
 // The paper's model lets every task on a processor run as soon as its data
 // arrives, even if another task on the same processor is still executing.

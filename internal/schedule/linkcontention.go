@@ -6,10 +6,10 @@ import (
 	"mimdmap/internal/paths"
 )
 
-// Link-contention evaluation — a second extension beyond the paper
-// (DESIGN.md §5). The paper's model charges weight × distance for every
-// message independently; real 1991 machines serialized messages sharing a
-// link. EvaluateLinkContended simulates store-and-forward delivery over the
+// Link-contention evaluation — a second extension beyond the paper. The
+// paper's model charges weight × distance for every message independently;
+// real 1991 machines serialized messages sharing a link.
+// EvaluateLinkContended simulates store-and-forward delivery over the
 // machine's canonical shortest-path routes with first-come-first-served
 // links: a message occupies each link of its route for its full weight, and
 // both directions of a link share one resource. Tasks still follow the

@@ -11,8 +11,8 @@ import (
 )
 
 // benchInstance generates a Table 1–3 style workload via the shared
-// gen.TableInstance builder, so these benchmarks and the cmd/mapbench
-// -refinebench harness measure identical workloads.
+// gen.TableInstance builder, so these benchmarks and BenchmarkRefiners in
+// internal/search measure identical workloads.
 func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *Assignment) {
 	tb.Helper()
 	ns := sys.NumNodes()

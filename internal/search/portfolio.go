@@ -124,7 +124,7 @@ type Portfolio struct {
 func (*Portfolio) Name() string { return "portfolio" }
 
 // Refine implements Refiner: the single-chain path (Map, RunContext,
-// CompareRefiners, searchbench) runs the rounds back to back with no elite
+// CompareRefiners, BenchmarkRefiners) runs the rounds back to back with no elite
 // exchange.
 //
 //mapcheck:noalloc

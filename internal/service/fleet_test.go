@@ -9,11 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"mimdmap/internal/fleet"
+	"mimdmap/internal/gen"
 )
 
 func fleetRequest(t *testing.T, seed int64) *Request {
@@ -231,6 +233,101 @@ func TestFleetConcurrentRequestsShareOneHop(t *testing.T) {
 	}
 	if hops != 1 {
 		t.Fatalf("%d concurrent identical requests made %d hops, want 1", callers, hops)
+	}
+}
+
+// A concurrent mixed stream over a fleet still executes each fingerprint
+// exactly once: clients on every replica draw solves and warm-start remaps
+// from a fixed pool of uniques, and however the draws interleave, the
+// fleet-wide execution count equals the number of uniques touched.
+func TestFleetConcurrentMixedStreamExecutesOnce(t *testing.T) {
+	ctx := context.Background()
+	prev, err := NewSolver(1).Solve(ctx, fleetRequest(t, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut, err := gen.Perturb(gen.Instance{Problem: prev.Problem, System: prev.System},
+		gen.PerturbSpec{ReweightEdges: 0.2, ResizeTasks: 0.1}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The pool: the first remaps entries are Remaps of the perturbed
+	// instance, the rest plain solves; request seeds keep every entry a
+	// distinct fingerprint.
+	const uniques, remaps = 12, 4
+	pool := make([]*Request, uniques)
+	for i := range pool {
+		seed := int64(100 + i)
+		if i < remaps {
+			pool[i] = &Request{Problem: mut.Problem, System: mut.System, Clusterer: "random", Seed: seed}
+		} else {
+			pool[i] = fleetRequest(t, seed)
+		}
+	}
+
+	solvers := inProcessFleet(3)
+	const clients, perClient = 6, 24
+	touched := make([][uniques]bool, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s := solvers[c%len(solvers)]
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < perClient; i++ {
+				idx := rng.Intn(uniques)
+				touched[c][idx] = true
+				req := *pool[idx]
+				var err error
+				if idx < remaps {
+					_, err = s.Remap(ctx, prev, &req)
+				} else {
+					_, err = s.Solve(ctx, &req)
+				}
+				if err != nil {
+					errs[c] = fmt.Errorf("client %d op %d (unique %d): %w", c, i, idx, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var union [uniques]bool
+	for _, mine := range touched {
+		for idx, hit := range mine {
+			union[idx] = union[idx] || hit
+		}
+	}
+	want := 0
+	for _, hit := range union {
+		if hit {
+			want++
+		}
+	}
+	var executions, forwarded, warm uint64
+	for _, s := range solvers {
+		st := s.Stats()
+		executions += st.Executions
+		forwarded += st.Forwarded
+		warm += st.WarmStarts
+	}
+	if executions != uint64(want) {
+		t.Fatalf("fleet executed %d fingerprints for %d uniques touched, want exactly once each", executions, want)
+	}
+	if forwarded == 0 {
+		t.Fatal("no fill crossed the ring in a 3-replica fleet")
+	}
+	if warm == 0 {
+		t.Fatal("no remap warm-started from the projected incumbent")
 	}
 }
 

@@ -272,11 +272,10 @@ func (st *solveState) cacheLookup(ctx context.Context) error {
 // leader published to the cache and retired its call inside the window
 // between this request's cache probe and its winning join. In that window
 // a leader that marched on would re-execute a fingerprint the cache
-// already holds, breaking the exactly-once contract the fleet replay
-// harness asserts; instead the raced fill is served as a plain hit and
-// the just-created call is completed immediately, so any followers that
-// joined it share the cached response rather than waiting on a
-// re-execution.
+// already holds, breaking the fleet-wide exactly-once contract; instead
+// the raced fill is served as a plain hit and the just-created call is
+// completed immediately, so any followers that joined it share the cached
+// response rather than waiting on a re-execution.
 func (st *solveState) lead(call *flightCall) error {
 	s := st.solver
 	if resp, ok := s.results.Get(st.key); ok {
