@@ -64,11 +64,12 @@ bench-smoke:
 
 # Short fuzzing pass so the checked-in fuzzers actually run in CI instead
 # of only replaying their corpus seeds: ~10s each on the problem and
-# system text-format parsers and the server's request decoding/solve,
-# remap and fleet forwarding paths.
+# system text-format parsers, the topology spec parser, and the server's
+# request decoding/solve, remap and fleet forwarding paths.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSystem$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopologySpec$$' -fuzztime 10s ./internal/topology/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/

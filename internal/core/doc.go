@@ -19,9 +19,10 @@
 // search.Refiner improving a batched schedule.SwapSession, selected by
 // Options.Refiner (or by name through the service layer); the default is
 // the paper's §4.3.3 random-change refinement (search.Paper), which
-// drafts candidate swaps ahead and evaluates schedule.SwapLanes of them
-// in one interleaved, allocation-free pass, with results bit-identical to
-// trial-at-a-time refinement, including the random stream. Multi-start
+// drafts schedule.SwapLanes candidate swaps ahead and prices them in one
+// interleaved pass, or lane by lane right after a commit, allocation-free
+// and with results bit-identical to trial-at-a-time refinement, including
+// the random stream. Multi-start
 // runs (Options.Starts > 1) race independent refinement chains from the
 // shared initial assignment; each chain draws from its own derived
 // generator and runs its session on its own evaluator fork, so chains

@@ -78,7 +78,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visitedAbs[va] = true
-		vs, adjacent := m.pickSystemNode(va, visitedSys, assign, func(other int) int {
+		vs, adjacent := m.pickSystemNode(va, visitedSys, deg, assign, func(other int) int {
 			return crit.AbsEdge[va][other]
 		})
 		if vs == -1 {
@@ -108,7 +108,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visitedAbs[va] = true
-		vs, _ := m.pickSystemNode(va, visitedSys, assign, func(other int) int {
+		vs, _ := m.pickSystemNode(va, visitedSys, deg, assign, func(other int) int {
 			return m.abs.Weight[va][other]
 		})
 		if vs == -1 {
@@ -181,9 +181,9 @@ func (m *Mapper) nextIntensityNode(mca []int, visitedAbs []bool) int {
 }
 
 // pickSystemNode chooses the processor for abstract node va (steps 2(b)/(c)
-// and 3(b)/(c) of §4.3.2). weight supplies the relevant edge weight: the
-// critical abstract edge weight in step 2, the full abstract edge weight in
-// step 3.
+// and 3(b)/(c) of §4.3.2). deg holds the system-node degrees. weight
+// supplies the relevant edge weight: the critical abstract edge weight in
+// step 2, the full abstract edge weight in step 3.
 //
 // The paper's step (b) accepts any free system node that is "a neighbor of
 // some marked node"; when several qualify it ranks by system-node degree
@@ -196,9 +196,7 @@ func (m *Mapper) nextIntensityNode(mca []int, visitedAbs []bool) int {
 // a placed neighbour's processor (the condition under which step 2 marks va
 // as a critical abstract node). Returns (-1, false) when va has no placed
 // neighbour with positive weight.
-func (m *Mapper) pickSystemNode(va int, visitedSys []bool, assign *schedule.Assignment, weight func(other int) int) (proc int, adjacent bool) {
-	deg := m.sys.Degrees()
-
+func (m *Mapper) pickSystemNode(va int, visitedSys []bool, deg []int, assign *schedule.Assignment, weight func(other int) int) (proc int, adjacent bool) {
 	type nb struct{ proc, w int }
 	var neighbours []nb
 	for l := 0; l < m.abs.K; l++ {

@@ -18,14 +18,26 @@ type Table struct {
 	Dist [][]int
 }
 
-// New computes the shortest-path table of s by BFS from every node.
-// Complexity O(ns·(ns+links)).
+// New computes the shortest-path table of s by BFS from every node over
+// neighbour lists built once from Adj, each in ascending order.
+// Complexity O(ns² + ns·links).
 func New(s *graph.System) *Table {
 	n := s.NumNodes()
 	t := &Table{Dist: make([][]int, n)}
 	cells := make([]int, n*n)
 	for i := range t.Dist {
 		t.Dist[i], cells = cells[:n:n], cells[n:]
+	}
+	// Neighbour lists in CSR form: the neighbours of v are nbr[off[v]:off[v+1]].
+	off := make([]int, n+1)
+	var nbr []int
+	for v, row := range s.Adj {
+		for w, adj := range row {
+			if adj {
+				nbr = append(nbr, w)
+			}
+		}
+		off[v+1] = len(nbr)
 	}
 	queue := make([]int, 0, n)
 	for src := 0; src < n; src++ {
@@ -38,8 +50,8 @@ func New(s *graph.System) *Table {
 		queue = append(queue, src)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for w, adj := range s.Adj[v] {
-				if adj && row[w] == Unreachable {
+			for _, w := range nbr[off[v]:off[v+1]] {
+				if row[w] == Unreachable {
 					row[w] = row[v] + 1
 					queue = append(queue, w)
 				}
@@ -71,17 +83,19 @@ func FloydWarshall(s *graph.System) *Table {
 		}
 	}
 	for k := 0; k < n; k++ {
+		rowK := t.Dist[k]
 		for i := 0; i < n; i++ {
-			dik := t.Dist[i][k]
+			rowI := t.Dist[i]
+			dik := rowI[k]
 			if dik == Unreachable {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				if t.Dist[k][j] == Unreachable {
+			for j, dkj := range rowK {
+				if dkj == Unreachable {
 					continue
 				}
-				if d := dik + t.Dist[k][j]; d < t.Dist[i][j] {
-					t.Dist[i][j] = d
+				if d := dik + dkj; d < rowI[j] {
+					rowI[j] = d
 				}
 			}
 		}

@@ -165,6 +165,28 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 	}
 }
 
+// TestBFSMatchesFloydWarshallLarge checks the neighbour-list BFS against
+// the oracle on machines large enough that a dense-row scan would dominate,
+// including a disconnected one.
+func TestBFSMatchesFloydWarshallLarge(t *testing.T) {
+	split := graph.NewSystem(300)
+	for v := 0; v+1 < 300; v++ {
+		if v != 149 {
+			split.AddLink(v, v+1)
+		}
+	}
+	for _, s := range []*graph.System{topology.Hypercube(10), topology.Torus(17, 19), split} {
+		bfs, fw := New(s), FloydWarshall(s)
+		for i := range fw.Dist {
+			for j, want := range fw.Dist[i] {
+				if got := bfs.At(i, j); got != want {
+					t.Fatalf("%d nodes: dist(%d,%d) = %d, oracle %d", s.NumNodes(), i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestClosureDistancesAllOne(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

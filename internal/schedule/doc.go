@@ -31,9 +31,10 @@
 // fresh arena.
 //
 // Refinement goes one step further: its trials are single swaps of a
-// shared incumbent, so a SwapSession (swap.go) drafts candidate swaps
-// ahead and prices SwapLanes of them in one interleaved pass, exactly and
-// allocation-free; it also offers whole-assignment pricing
+// shared incumbent, so a SwapSession (swap.go) prices SwapLanes drafted
+// candidate swaps in one interleaved pass, or one swap at a time with a
+// scalar pass, exactly and allocation-free on both paths; it also offers
+// whole-assignment pricing
 // (TryAssign/CommitAssign) for permutation moves, annealing restarts and
 // jump perturbations. Every search strategy in internal/search runs on a
 // SwapSession, and CardSession is its cardinality twin for the Bokhari

@@ -54,6 +54,27 @@ func benchRefineTrials(b *testing.B, sys *graph.System, seed int64, cold bool) {
 	}
 }
 
+// benchRefineScalarCold measures the scalar cold path: each trial is one
+// TrySwap committed at once, so the priced-pair table never hits and every
+// trial costs one full scalar pass. Against the Cold twins above (one
+// 8-lane pass per SwapLanes trials) it measures the cost ratio of the two
+// passes, on which the random-swap refiners' choice between batch and
+// lane-by-lane pricing rests.
+func benchRefineScalarCold(b *testing.B, sys *graph.System, seed int64) {
+	e, a := benchInstance(b, sys, seed)
+	k := a.K()
+	rng := rand.New(rand.NewSource(seed + 1))
+	sess := e.NewSwapSession(a)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for t := 0; t < b.N; t++ {
+		x, y := RandSwapPair(rng, k)
+		total := sess.TrySwap(x, y)
+		sess.CommitSwap(x, y, total)
+		refineBenchSink += total
+	}
+}
+
 var refineBenchSink int
 
 func BenchmarkRefineTrialHypercube16(b *testing.B) {
@@ -76,6 +97,14 @@ func BenchmarkRefineTrialColdHypercube32(b *testing.B) {
 }
 func BenchmarkRefineTrialColdMesh5x8(b *testing.B) {
 	benchRefineTrials(b, topology.Mesh(5, 8), 1991, true)
+}
+
+// The scalar cold twins price every trial with its own scalar pass.
+func BenchmarkRefineTrialScalarColdHypercube32(b *testing.B) {
+	benchRefineScalarCold(b, topology.Hypercube(5), 1991)
+}
+func BenchmarkRefineTrialScalarColdMesh5x8(b *testing.B) {
+	benchRefineScalarCold(b, topology.Mesh(5, 8), 1991)
 }
 
 // BenchmarkRefineTotalTime is the scalar fast path: one full evaluation,

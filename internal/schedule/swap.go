@@ -85,7 +85,11 @@ func (v *laneViews) commitAssign(procOf []int) {
 // table (a swap's exact total depends only on the pair and the committed
 // incumbent, so totals priced since the last commit replay for free);
 // a miss takes one full pass — scalar for TrySwap, the interleaved kernel
-// for TrySwapBatch. Totals are exact on every path.
+// for TrySwapBatch. Totals are exact on every path, so a caller may pick
+// either per trial: an 8-lane pass costs about five scalar passes, so the
+// batch pays off only when most of its lanes are resolved against the
+// incumbent they were priced on, and a caller expecting an early commit
+// prices lane by lane instead. Passes reports which path each call took.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
@@ -120,6 +124,19 @@ type SwapSession struct {
 
 	lastK, lastL, lastTotal int
 	pending                 bool
+
+	passes PassCounts
+}
+
+// PassCounts tallies how a session priced its trials, by kernel path.
+type PassCounts struct {
+	// Memo counts Try calls answered from the priced-pair table alone: a
+	// TrySwap hit, or a TrySwapBatch whose every lane hit.
+	Memo int
+	// Batch counts 8-lane interleaved kernel passes (TrySwapBatch misses).
+	Batch int
+	// Scalar counts scalar full passes (TrySwap misses and TryAssign).
+	Scalar int
 }
 
 // maxMemoPairs bounds the priced-pair table: K² at most 2^16 pairs (K ≤
@@ -173,6 +190,10 @@ func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 // TotalTime returns the committed incumbent's total time.
 func (s *SwapSession) TotalTime() int { return s.total }
 
+// Passes returns how many trials the session has priced on each kernel
+// path since construction.
+func (s *SwapSession) Passes() PassCounts { return s.passes }
+
 // ProcOf exposes the committed incumbent's cluster→processor vector. It is
 // a live read-only view: callers must copy it before the next commit if
 // they need a snapshot, and must never mutate it.
@@ -197,9 +218,11 @@ func (s *SwapSession) TrySwap(k, l int) int {
 		if i := s.memoIdx(k, l); s.memoStamp[i] == s.memoEpoch {
 			total := s.memoTotal[i]
 			s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
+			s.passes.Memo++
 			return total
 		}
 	}
+	s.passes.Scalar++
 	a := s.lanes.a
 	a.Swap(k, l)
 	total := s.e.fillEnds(a.ProcOf, s.scratch)
@@ -221,6 +244,7 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
 	s.pending = false
+	s.passes.Scalar++
 	return s.e.fillEnds(procOf, s.scratch)
 }
 
@@ -285,9 +309,11 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 			totals[lane] = s.memoTotal[i]
 		}
 		if hit {
+			s.passes.Memo++
 			return
 		}
 	}
+	s.passes.Batch++
 	s.lanes.sync(ks, ls)
 	s.fullSwapBatch(totals)
 	if s.memoTotal != nil {

@@ -222,4 +222,14 @@ func TestPricedPairMemoExactAcrossCommits(t *testing.T) {
 			t.Fatalf("memoised batch lane %d = %d, evaluator says %d", lane, got, want)
 		}
 	}
+
+	// Passes counts each call by the path that priced it: three scalar
+	// misses, three TrySwap hits plus the all-hit batch as memo replays,
+	// then one batch with a fresh lane and one whole-assignment pass.
+	ks[SwapLanes-1], ls[SwapLanes-1] = 2, 7
+	sess.TrySwapBatch(&ks, &ls, &totals)
+	sess.TryAssign(sess.ProcOf())
+	if got, want := sess.Passes(), (PassCounts{Memo: 4, Batch: 1, Scalar: 4}); got != want {
+		t.Fatalf("Passes = %+v, want %+v", got, want)
+	}
 }

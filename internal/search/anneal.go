@@ -14,11 +14,16 @@ import (
 // exp(-delta/T) under a geometric cooling schedule. The best assignment
 // ever seen is committed at return.
 //
-// Like the paper refiner, candidates are drawn ahead and priced
-// schedule.SwapLanes at a time; acceptance draws (rng.Float64) happen in
-// resolution order, after the batch's pair draws. The run is deterministic
-// given rng, but the stream differs from a scalar draw-evaluate-accept loop
-// by construction — annealing has no pinned legacy stream to preserve.
+// Like the paper refiner, candidates are drawn ahead through a swapQueue,
+// schedule.SwapLanes at a time: a queue is priced in one 8-lane pass while
+// the previous full queue accepted nothing, and lane by lane after an
+// accept, which at high temperature is most queues. Acceptance draws
+// (rng.Float64) happen in resolution order, after the queue's pair draws,
+// and a full queue stops at its first accept whichever way it was priced,
+// so the stream does not depend on the pricing path. The run is
+// deterministic given rng, but the stream differs from a scalar
+// draw-evaluate-accept loop by construction — annealing has no pinned
+// legacy stream to preserve.
 type Anneal struct {
 	// InitialTemp is the starting temperature. 0 calibrates it from a short
 	// probe walk so roughly 80% of uphill moves are initially accepted.
@@ -118,40 +123,18 @@ func (an *Anneal) Refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 		}
 	}
 
-	const lanes = schedule.SwapLanes
-	var ks, ls, totals [lanes]int
-	var queue [lanes][2]int
-	// drawn counts every candidate charged to the budget — calibration
-	// probes included — so drawing stops exactly at b.Trials even when the
-	// remaining budget is not a whole batch.
-	qlen, drawn := 0, tr.Trials
+	// The queue charges every candidate to the budget — calibration probes
+	// included — so drawing stops exactly at b.Trials even when the
+	// remaining budget is not a whole queue.
+	q := swapQueue{drawn: tr.Trials}
 	for tr.Trials < b.Trials && temp > minTemp {
 		if ctx.Err() != nil {
 			break
 		}
-		for qlen < lanes && drawn < b.Trials {
-			i, j := schedule.RandSwapPair(rng, len(free))
-			queue[qlen] = [2]int{free[i], free[j]}
-			qlen++
-			drawn++
-		}
-		batched := qlen == lanes
-		if batched {
-			for idx := 0; idx < lanes; idx++ {
-				ks[idx], ls[idx] = queue[idx][0], queue[idx][1]
-			}
-			sess.TrySwapBatch(&ks, &ls, &totals)
-		}
+		n := q.fill(sess, rng, free, b.Trials)
 		resolved := 0
-		accepted := false
-		for idx := 0; idx < qlen && temp > minTemp; idx++ {
-			k, l := queue[idx][0], queue[idx][1]
-			var total int
-			if batched {
-				total = totals[idx]
-			} else {
-				total = sess.TrySwap(k, l)
-			}
+		for resolved < n && temp > minTemp {
+			k, l, total := q.price(sess, resolved)
 			tr.Trials++
 			resolved++
 			if b.RecordTrials {
@@ -177,18 +160,12 @@ func (an *Anneal) Refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 					bestTotal = cur
 					copy(bestProc, sess.ProcOf())
 				}
-				if batched {
-					// The remaining lanes were priced against the old
-					// incumbent; requeue them for exact re-evaluation.
-					accepted = true
+				if q.noteCommit() {
 					break
 				}
 			}
 		}
-		if accepted {
-			copy(queue[:], queue[resolved:qlen])
-		}
-		qlen -= resolved
+		q.done(resolved)
 	}
 	if bestTotal < sess.TotalTime() {
 		sess.CommitAssign(bestProc, bestTotal)

@@ -12,16 +12,16 @@ import (
 // iff it does not worsen the total time (strictly improves — "keep if
 // better"), and stop early when a trial reaches the lower bound.
 //
-// Trials are priced through the session's batch kernel: almost every trial
-// is a rejected perturbation of the same incumbent, so candidate swaps are
-// drawn ahead and evaluated schedule.SwapLanes at a time in one interleaved
-// pass. Trials still resolve strictly in draw order against the incumbent
-// they would have seen sequentially — when a trial is accepted, the
-// not-yet-resolved candidates of its batch are re-priced against the new
-// incumbent — so results are bit-identical to trial-at-a-time refinement,
-// including the random stream (drawing consumes rng in draw order;
-// evaluation consumes none). This is the exact loop core.Mapper ran before
-// the strategy seam existed, pinned by the mapper's determinism tests.
+// Candidate swaps are drawn ahead through a swapQueue and resolved
+// strictly in draw order against the incumbent they would have seen
+// sequentially: a queue is priced in one 8-lane TrySwapBatch pass while
+// the previous full queue committed nothing, and lane by lane with TrySwap
+// right after a commit, when the lanes behind the next commit would only
+// be priced again. Every path prices exactly, so results are bit-identical
+// to trial-at-a-time refinement, including the random stream (drawing
+// consumes rng in draw order; evaluation consumes none). This is the exact
+// loop core.Mapper ran before the strategy seam existed, pinned by the
+// mapper's determinism tests.
 type Paper struct{}
 
 // Name implements Refiner.
@@ -37,37 +37,15 @@ func (Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 	if len(free) < 2 || b.Trials <= 0 {
 		return tr
 	}
-	const lanes = schedule.SwapLanes
-	var ks, ls, totals [lanes]int
-	var queue [lanes][2]int // drawn but unresolved candidate swaps
-	qlen, drawn := 0, 0
+	var q swapQueue
 	for tr.Trials < b.Trials {
 		if ctx.Err() != nil {
 			break
 		}
-		for qlen < lanes && drawn < b.Trials {
-			i, j := schedule.RandSwapPair(rng, len(free))
-			queue[qlen] = [2]int{free[i], free[j]}
-			qlen++
-			drawn++
-		}
-		batched := qlen == lanes
-		if batched {
-			for idx := 0; idx < lanes; idx++ {
-				ks[idx], ls[idx] = queue[idx][0], queue[idx][1]
-			}
-			sess.TrySwapBatch(&ks, &ls, &totals)
-		}
+		n := q.fill(sess, rng, free, b.Trials)
 		resolved := 0
-		accepted := false
-		for idx := 0; idx < qlen; idx++ {
-			k, l := queue[idx][0], queue[idx][1]
-			var total int
-			if batched {
-				total = totals[idx]
-			} else {
-				total = sess.TrySwap(k, l)
-			}
+		for resolved < n {
+			k, l, total := q.price(sess, resolved)
 			tr.Trials++
 			resolved++
 			if b.RecordTrials {
@@ -84,18 +62,12 @@ func (Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 				tr.Improved++
 				tr.Final = total
 				sess.CommitSwap(k, l, total)
-				if batched {
-					// The remaining lanes were priced against the old
-					// incumbent; requeue them for exact re-evaluation.
-					accepted = true
+				if q.noteCommit() {
 					break
 				}
 			}
 		}
-		if accepted {
-			copy(queue[:], queue[resolved:qlen])
-		}
-		qlen -= resolved
+		q.done(resolved)
 	}
 	return tr
 }

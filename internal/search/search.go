@@ -3,9 +3,10 @@
 // random-change refinement, pairwise exchange (§2.2/ref [1]), simulated
 // annealing (refs [3], [14]) — is a Refiner improving a committed
 // schedule.SwapSession under a trial Budget. All strategies price trials
-// through the session's batched swap kernel — which replays already-priced
-// pairs from the session's pair table, transparently to refiners — so they
-// share one zero-allocation hot path and compete at an equal trial budget.
+// through the session's swap kernels — an 8-lane batch pass or a scalar
+// pass, each replaying already-priced pairs from the session's pair table,
+// transparently to refiners — so they share one zero-allocation hot path
+// and compete at an equal trial budget.
 // Budget accounting stays trial-based: a memoised trial counts exactly like
 // a fully evaluated one, so budgets and results are independent of how a
 // trial happened to be priced. The named registry

@@ -184,73 +184,101 @@ func Random(n int, extra float64, rng *rand.Rand) *graph.System {
 //	torus-<rows>x<cols>
 //	ring-<n> | chain-<n> | star-<n> | complete-<n> | btree-<n>
 //	random-<n>           (needs rng; extra-link probability 0.15)
+//
+// A spec describing more than graph.MaxTextNodes processors is rejected
+// before anything is allocated, as an oversized text-format header is: a
+// few-byte spec must not be able to request an ns×ns adjacency matrix of
+// any size.
 func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
-	var (
-		a, b int
-	)
+	nodes, build, err := parseSpec(spec, rng)
+	if err != nil {
+		return nil, err
+	}
+	if nodes > graph.MaxTextNodes {
+		return nil, fmt.Errorf("topology: %q exceeds the %d-processor limit", spec, graph.MaxTextNodes)
+	}
+	return build(), nil
+}
+
+// parseSpec parses a ByName spec into the number of processors it
+// describes (saturating just above graph.MaxTextNodes, never overflowing)
+// and a builder for the machine. Nothing is allocated until build runs.
+func parseSpec(spec string, rng *rand.Rand) (nodes int, build func() *graph.System, err error) {
+	var a, b int
 	switch {
 	case matchSpec(spec, "hypercube-%d", &a):
 		if a < 0 || a > 20 {
-			return nil, fmt.Errorf("topology: hypercube dimension %d out of range", a)
+			return 0, nil, fmt.Errorf("topology: hypercube dimension %d out of range", a)
 		}
-		return Hypercube(a), nil
+		nodes, build = 1<<uint(a), func() *graph.System { return Hypercube(a) }
 	case matchSpec2(spec, "mesh-%dx%d", &a, &b):
 		if a <= 0 || b <= 0 {
-			return nil, fmt.Errorf("topology: bad mesh %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad mesh %q", spec)
 		}
-		return Mesh(a, b), nil
+		nodes, build = product(a, b), func() *graph.System { return Mesh(a, b) }
 	case matchSpec2(spec, "torus-%dx%d", &a, &b):
 		if a <= 0 || b <= 0 {
-			return nil, fmt.Errorf("topology: bad torus %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad torus %q", spec)
 		}
-		return Torus(a, b), nil
+		nodes, build = product(a, b), func() *graph.System { return Torus(a, b) }
 	case matchSpec(spec, "ring-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad ring %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad ring %q", spec)
 		}
-		return Ring(a), nil
+		nodes, build = a, func() *graph.System { return Ring(a) }
 	case matchSpec(spec, "chain-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad chain %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad chain %q", spec)
 		}
-		return Chain(a), nil
+		nodes, build = a, func() *graph.System { return Chain(a) }
 	case matchSpec(spec, "star-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad star %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad star %q", spec)
 		}
-		return Star(a), nil
+		nodes, build = a, func() *graph.System { return Star(a) }
 	case matchSpec(spec, "complete-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad complete %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad complete %q", spec)
 		}
-		return Complete(a), nil
+		nodes, build = a, func() *graph.System { return Complete(a) }
 	case matchSpec(spec, "btree-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad btree %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad btree %q", spec)
 		}
-		return BinaryTree(a), nil
+		nodes, build = a, func() *graph.System { return BinaryTree(a) }
 	case matchSpec(spec, "ccc-%d", &a):
 		if a < 1 || a > 16 {
-			return nil, fmt.Errorf("topology: bad ccc %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad ccc %q", spec)
 		}
-		return CCC(a), nil
+		nodes, build = a<<uint(a), func() *graph.System { return CCC(a) }
 	case matchSpec(spec, "debruijn-%d", &a):
 		if a < 1 || a > 20 {
-			return nil, fmt.Errorf("topology: bad debruijn %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad debruijn %q", spec)
 		}
-		return DeBruijn(a), nil
+		nodes, build = 1<<uint(a), func() *graph.System { return DeBruijn(a) }
 	case spec == "petersen":
-		return Petersen(), nil
+		nodes, build = 10, Petersen
 	case matchSpec(spec, "random-%d", &a):
 		if a < 1 {
-			return nil, fmt.Errorf("topology: bad random %q", spec)
+			return 0, nil, fmt.Errorf("topology: bad random %q", spec)
 		}
 		if rng == nil {
-			return nil, fmt.Errorf("topology: random topology %q needs a seeded RNG", spec)
+			return 0, nil, fmt.Errorf("topology: random topology %q needs a seeded RNG", spec)
 		}
-		return Random(a, 0.15, rng), nil
+		nodes, build = a, func() *graph.System { return Random(a, 0.15, rng) }
+	default:
+		return 0, nil, fmt.Errorf("topology: unknown specification %q", spec)
 	}
-	return nil, fmt.Errorf("topology: unknown specification %q", spec)
+	return nodes, build, nil
+}
+
+// product returns rows·cols for positive factors, saturating just above
+// graph.MaxTextNodes so that huge factors cannot overflow.
+func product(rows, cols int) int {
+	if rows > graph.MaxTextNodes/cols {
+		return graph.MaxTextNodes + 1
+	}
+	return rows * cols
 }
 
 func matchSpec(s, format string, a *int) bool {

@@ -200,3 +200,91 @@ func TestByName(t *testing.T) {
 		t.Error("random topology without RNG accepted")
 	}
 }
+
+// TestByNameBoundsNodes: a spec describing more than graph.MaxTextNodes
+// processors is rejected, whatever family it names and however large its
+// factors; specs at the limit are accepted.
+func TestByNameBoundsNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		spec  string
+		nodes int // 0: must be rejected
+	}{
+		{"hypercube-14", 1 << 14},
+		{"hypercube-15", 0},
+		{"hypercube-20", 0},
+		{"debruijn-14", 1 << 14},
+		{"debruijn-15", 0},
+		{"ccc-10", 10 << 10},
+		{"ccc-11", 0},
+		{"mesh-128x128", 1 << 14},
+		{"mesh-128x129", 0},
+		{"torus-1x16384", 1 << 14},
+		{"torus-16385x1", 0},
+		{"mesh-9223372036854775807x2", 0},
+		{"torus-4294967296x4294967296", 0},
+		{"ring-16384", 1 << 14},
+		{"ring-16385", 0},
+		{"ring-200000", 0},
+		{"chain-16385", 0},
+		{"star-16385", 0},
+		{"complete-16385", 0},
+		{"btree-16385", 0},
+		{"random-16385", 0},
+		{"ring-9223372036854775807", 0},
+	} {
+		s, err := ByName(tc.spec, rng)
+		switch {
+		case tc.nodes == 0 && err == nil:
+			t.Errorf("%s: accepted with %d nodes", tc.spec, s.NumNodes())
+		case tc.nodes != 0 && err != nil:
+			t.Errorf("%s: %v", tc.spec, err)
+		case tc.nodes != 0 && s.NumNodes() != tc.nodes:
+			t.Errorf("%s: %d nodes, want %d", tc.spec, s.NumNodes(), tc.nodes)
+		}
+	}
+}
+
+// FuzzTopologySpec: ByName never panics and rejects every spec whose node
+// count exceeds graph.MaxTextNodes; on specs small enough to build cheaply
+// the predicted count is exact, and the machine is valid and rebuilt
+// identically from its spec.
+func FuzzTopologySpec(f *testing.F) {
+	for _, seed := range []string{"hypercube-4", "mesh-3x4", "torus-2x5", "ring-7",
+		"chain-4", "star-9", "complete-5", "btree-6", "random-11", "ccc-3",
+		"debruijn-4", "petersen", "hypercube-20", "mesh-99999x99999", "ring-200000"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+		nodes, _, err := parseSpec(spec, rng())
+		if err != nil {
+			if _, berr := ByName(spec, rng()); berr == nil {
+				t.Fatalf("%q: ByName accepted a spec that does not parse: %v", spec, err)
+			}
+			return
+		}
+		if nodes > graph.MaxTextNodes {
+			if _, berr := ByName(spec, rng()); berr == nil {
+				t.Fatalf("%q: ByName accepted %d nodes, above the limit %d", spec, nodes, graph.MaxTextNodes)
+			}
+			return
+		}
+		if nodes > 1024 {
+			return // valid, but too large to build on every fuzz input
+		}
+		s, err := ByName(spec, rng())
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if s.NumNodes() != nodes {
+			t.Fatalf("%q built %d nodes, spec predicts %d", spec, s.NumNodes(), nodes)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%q built an invalid system: %v", spec, err)
+		}
+		if again, _ := ByName(spec, rng()); !s.Equal(again) {
+			t.Fatalf("%q did not rebuild identically", spec)
+		}
+	})
+}
